@@ -17,16 +17,20 @@ byte layout are documented in docs/formats.md.
 
 Signatures cover `canonical_bytes`, a deterministic rendering of every
 field except Signature, so semantically identical texts verify
-identically regardless of layout.
+identically regardless of layout. Successful verifications are
+remembered (bounded; dispute replay bypasses the memo); see "Signature
+memo" in docs/formats.md.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import re
+import threading
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .keys import (
     POLICY,
@@ -216,9 +220,6 @@ class ActionAttributeSet:
     def items(self) -> Iterable[tuple[str, str]]:
         return self._attrs.items()
 
-    def as_dict(self) -> dict[str, str]:
-        return dict(self._attrs)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ActionAttributeSet) and self._attrs == other._attrs
 
@@ -231,12 +232,22 @@ class ActionAttributeSet:
 # ---------------------------------------------------------------------------
 
 _OPS = ("&&", "||", "==", "!=", "<=", ">=", "->", "<", ">", "=", "!", "(", ")", ";", "&")
-_NAME_RE = re.compile(r"[A-Za-z_]\w*")
-_NUMBER_RE = re.compile(r"\d+(\.\d+)?")
+_OP_TEXT = {op: op for op in _OPS}  # one shared string per operator
+# One alternative per token kind, tried in this order at each position;
+# an unnamed match is whitespace, BAD is a character no token starts with.
+_TOKEN_RE = re.compile(
+    r"\s+"
+    r'|"(?P<STRING>(?:[^"\\]|\\.)*)"'
+    r"|(?P<NUMBER>\d+(?:\.\d+)?)"
+    r"|(?P<NAME>[A-Za-z_]\w*)"
+    r"|(?P<OP>" + "|".join(re.escape(op) for op in _OPS) + ")"
+    r"|(?P<BAD>.)",
+    re.DOTALL,
+)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME STRING NUMBER OP END
     text: str
     pos: int
@@ -244,50 +255,23 @@ class _Token:
 
 def _tokenize(body: str, base_pos: int = 0) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(body)
-    while i < n:
-        c = body[i]
-        if c.isspace():
-            i += 1
+    for m in _TOKEN_RE.finditer(body):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n:
-                ch = body[j]
-                if ch == "\\" and j + 1 < n:
-                    out.append(body[j + 1])
-                    j += 2
-                    continue
-                if ch == '"':
-                    break
-                out.append(ch)
-                j += 1
-            else:
-                raise CredentialSyntaxError(
-                    "unterminated string literal", base_pos + i, 'closing "'
-                )
-            tokens.append(_Token("STRING", "".join(out), base_pos + i))
-            i = j + 1
-            continue
-        m = _NUMBER_RE.match(body, i)
-        if m:
-            tokens.append(_Token("NUMBER", m.group(0), base_pos + i))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(body, i)
-        if m:
-            tokens.append(_Token("NAME", m.group(0), base_pos + i))
-            i = m.end()
-            continue
-        for op in _OPS:
-            if body.startswith(op, i):
-                tokens.append(_Token("OP", op, base_pos + i))
-                i += len(op)
-                break
-        else:
-            raise CredentialSyntaxError(f"unexpected character {c!r}", base_pos + i)
-    tokens.append(_Token("END", "", base_pos + n))
+        text = m.group(kind)
+        pos = base_pos + m.start()
+        if kind == "STRING":
+            if "\\" in text:
+                text = _ESCAPE_RE.sub(r"\1", text)
+        elif kind == "OP":
+            text = _OP_TEXT[text]
+        elif kind == "BAD":
+            if text == '"':
+                raise CredentialSyntaxError("unterminated string literal", pos, 'closing "')
+            raise CredentialSyntaxError(f"unexpected character {text!r}", pos)
+        tokens.append(_Token(kind, text, pos))
+    tokens.append(_Token("END", "", base_pos + len(body)))
     return tokens
 
 
@@ -327,22 +311,19 @@ _HEADERS = (
     "Conditions",
     "Signature",
 )
+_HEADER_ORDER = {name: i for i, name in enumerate(_HEADERS)}
+_COMPARISONS = frozenset(("==", "!=", "<", "<=", ">", ">="))
+
+
+# Code before the first `#` outside a string literal; an unterminated
+# literal runs to the end of the line.
+_CODE_RE = re.compile(r'(?:[^"#]+|"(?:[^"\\]|\\.)*"?)*', re.DOTALL)
 
 
 def _strip_comment(line: str) -> str:
-    in_string = False
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if c == "\\" and in_string:
-            i += 2
-            continue
-        if c == '"':
-            in_string = not in_string
-        elif c == "#" and not in_string:
-            return line[:i]
-        i += 1
-    return line
+    if "#" not in line:
+        return line
+    return line[: _CODE_RE.match(line).end()]
 
 
 def _logical_fields(text: str) -> list[tuple[str, str, int]]:
@@ -409,104 +390,78 @@ def _resolve_principal(
         raise CredentialSyntaxError(str(exc), tok.pos, "key id") from exc
 
 
+def _chain(stream: _TokenStream, op: str, node: type, operand, *args):
+    """`operand (op operand)*`, flattening nested `node`s into one node."""
+    children = [operand(stream, *args)]
+    while (tok := stream.peek()).kind == "OP" and tok.text == op:
+        stream.next()
+        children.append(operand(stream, *args))
+    if len(children) == 1:
+        return children[0]
+    flat: list = []
+    for c in children:
+        flat.extend(c.children if isinstance(c, node) else (c,))
+    return node(tuple(flat))
+
+
 def _parse_principal_expr(stream: _TokenStream, constants: Mapping[str, str]):
-    def term():
-        tok = stream.peek()
-        if tok.kind == "OP" and tok.text == "(":
-            stream.next()
-            inner = or_expr()
-            stream.expect_op(")")
-            return inner
-        return KeyLeaf(_resolve_principal(stream.next(), constants))
+    return _chain(stream, "||", POr, _principal_and, constants)
 
-    def and_expr():
-        children = [term()]
-        while stream.peek().kind == "OP" and stream.peek().text == "&&":
-            stream.next()
-            children.append(term())
-        if len(children) == 1:
-            return children[0]
-        flat: list = []
-        for c in children:
-            flat.extend(c.children if isinstance(c, PAnd) else (c,))
-        return PAnd(tuple(flat))
 
-    def or_expr():
-        children = [and_expr()]
-        while stream.peek().kind == "OP" and stream.peek().text == "||":
-            stream.next()
-            children.append(and_expr())
-        if len(children) == 1:
-            return children[0]
-        flat: list = []
-        for c in children:
-            flat.extend(c.children if isinstance(c, POr) else (c,))
-        return POr(tuple(flat))
+def _principal_and(stream: _TokenStream, constants: Mapping[str, str]):
+    return _chain(stream, "&&", PAnd, _principal_term, constants)
 
-    return or_expr()
+
+def _principal_term(stream: _TokenStream, constants: Mapping[str, str]):
+    tok = stream.peek()
+    if tok.kind == "OP" and tok.text == "(":
+        stream.next()
+        inner = _parse_principal_expr(stream, constants)
+        stream.expect_op(")")
+        return inner
+    return KeyLeaf(_resolve_principal(stream.next(), constants))
 
 
 def _parse_condition_expr(stream: _TokenStream):
-    def atom():
-        tok = stream.peek()
-        if tok.kind == "OP" and tok.text == "(":
-            stream.next()
-            inner = or_expr()
-            stream.expect_op(")")
-            return inner
-        if tok.kind == "OP" and tok.text == "!":
-            stream.next()
-            return CNot(atom())
-        return comparison()
+    return _chain(stream, "||", COr, _condition_and)
 
-    def comparison():
-        numeric = False
+
+def _condition_and(stream: _TokenStream):
+    return _chain(stream, "&&", CAnd, _condition_atom)
+
+
+def _condition_atom(stream: _TokenStream):
+    tok = stream.peek()
+    if tok.kind == "OP" and tok.text == "(":
+        stream.next()
+        inner = _parse_condition_expr(stream)
+        stream.expect_op(")")
+        return inner
+    if tok.kind == "OP" and tok.text == "!":
+        stream.next()
+        return CNot(_condition_atom(stream))
+    return _comparison(stream)
+
+
+def _comparison(stream: _TokenStream) -> Compare:
+    numeric = False
+    tok = stream.next()
+    if tok.kind == "OP" and tok.text == "&":
+        numeric = True
         tok = stream.next()
-        if tok.kind == "OP" and tok.text == "&":
-            numeric = True
-            tok = stream.next()
-        if tok.kind != "NAME":
-            raise CredentialSyntaxError(f"got {tok.text!r}", tok.pos, "attribute name")
-        attr = tok.text
-        op_tok = stream.next()
-        if op_tok.kind != "OP" or op_tok.text not in ("==", "!=", "<", "<=", ">", ">="):
-            raise CredentialSyntaxError(
-                f"got {op_tok.text!r}", op_tok.pos, "comparison operator"
-            )
-        lit = stream.next()
-        if lit.kind == "STRING":
-            literal = Literal("string", lit.text)
-        elif lit.kind == "NUMBER":
-            literal = Literal("number", lit.text)
-        else:
-            raise CredentialSyntaxError(f"got {lit.text!r}", lit.pos, "literal")
-        return Compare(attr, op_tok.text, literal, numeric)
-
-    def and_expr():
-        children = [atom()]
-        while stream.peek().kind == "OP" and stream.peek().text == "&&":
-            stream.next()
-            children.append(atom())
-        if len(children) == 1:
-            return children[0]
-        flat: list = []
-        for c in children:
-            flat.extend(c.children if isinstance(c, CAnd) else (c,))
-        return CAnd(tuple(flat))
-
-    def or_expr():
-        children = [and_expr()]
-        while stream.peek().kind == "OP" and stream.peek().text == "||":
-            stream.next()
-            children.append(and_expr())
-        if len(children) == 1:
-            return children[0]
-        flat: list = []
-        for c in children:
-            flat.extend(c.children if isinstance(c, COr) else (c,))
-        return COr(tuple(flat))
-
-    return or_expr()
+    if tok.kind != "NAME":
+        raise CredentialSyntaxError(f"got {tok.text!r}", tok.pos, "attribute name")
+    op_tok = stream.next()
+    if op_tok.kind != "OP" or op_tok.text not in _COMPARISONS:
+        raise CredentialSyntaxError(f"got {op_tok.text!r}", op_tok.pos, "comparison operator")
+    lit = stream.next()
+    if lit.kind == "STRING":
+        literal = Literal("string", lit.text)
+    elif lit.kind == "NUMBER":
+        literal = Literal("number", lit.text)
+    else:
+        raise CredentialSyntaxError(f"got {lit.text!r}", lit.pos, "literal")
+    return Compare(tok.text, op_tok.text, literal, numeric)
 
 
 def _parse_clauses(stream: _TokenStream) -> tuple | None:
@@ -544,11 +499,10 @@ def parse_credential(text: str, unchecked: bool = False) -> Credential:
     keys are truncated and unverifiable. Production paths never set it.
     """
     fields = _logical_fields(text)
-    order = {name: i for i, name in enumerate(_HEADERS)}
     last = -1
     by_name: dict[str, tuple[str, int]] = {}
     for name, body, pos in fields:
-        idx = order[name]
+        idx = _HEADER_ORDER[name]
         if idx <= last:
             raise CredentialSyntaxError(
                 f"field {name!r} out of order or duplicated", pos
@@ -746,8 +700,6 @@ def sign_credential(cred: Credential, pair: KeyPair) -> Credential:
         raise KeyMismatch(
             f"authorizer {cred.authorizer} does not match signing key {pair.public_id}"
         )
-    import base64
-
     sig = pair.sign(canonical_bytes(cred))
     signed = replace(
         cred,
@@ -757,25 +709,68 @@ def sign_credential(cred: Credential, pair: KeyPair) -> Credential:
     return replace(signed, source_text=render_credential(signed))
 
 
+# Successful verifications, keyed by _memo_key. A credential is immutable
+# and verification is a pure function of the key, the signature and the
+# canonical bytes, so a remembered success decides nothing differently.
+# Failures are not kept. The oldest entry goes first once the bound is hit.
+_MEMO_SIZE = 4096
+_verified: dict[bytes, None] = {}
+_verified_lock = threading.Lock()
+
+
+def _memo_key(cred: Credential, message: bytes) -> bytes:
+    """One SHA-256 over authorizer, signature tag, signature material and
+    canonical bytes, each length-prefixed so the encoding is unambiguous."""
+    alg, material = cred.signature
+    h = hashlib.sha256()
+    for part in (cred.authorizer.encode("utf-8"), alg.encode("utf-8"),
+                 material.encode("utf-8"), message):
+        h.update(len(part).to_bytes(8, "big"))
+        h.update(part)
+    return h.digest()
+
+
 def verify_signature(cred: Credential) -> bool:
     """True iff the signature validates under the authorizer key.
 
     POLICY credentials are locally trusted and return True. Raises
     UnsupportedAlgorithm for signature tags with no registered scheme.
+    A success is remembered (see _memo_key) and not verified again.
     """
     if cred.authorizer == POLICY:
         return True
     if cred.signature is None:
         return False
-    import base64
+    message = canonical_bytes(cred)
+    key = _memo_key(cred, message)
+    if key in _verified:
+        return True
+    if not _signature_valid(cred, message):
+        return False
+    with _verified_lock:
+        if len(_verified) >= _MEMO_SIZE:
+            del _verified[next(iter(_verified))]
+        _verified[key] = None
+    return True
 
+
+def _verify_signature_fresh(cred: Credential) -> bool:
+    """verify_signature without the memo: always runs the scheme."""
+    if cred.authorizer == POLICY:
+        return True
+    if cred.signature is None:
+        return False
+    return _signature_valid(cred, canonical_bytes(cred))
+
+
+def _signature_valid(cred: Credential, message: bytes) -> bool:
     alg, material = cred.signature
     scheme = scheme_for_signature(alg)
     try:
         raw = base64.b64decode(material.encode("ascii"), validate=True)
     except Exception:
         return False
-    return scheme.verify(cred.authorizer_key, canonical_bytes(cred), raw)
+    return scheme.verify(cred.authorizer_key, message, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -876,6 +871,8 @@ def check_compliance(
     creds: Iterable[Credential],
     requesters: Iterable[PublicKeyId | str] = (),
     action: ActionAttributeSet | None = None,
+    *,
+    fresh: bool = False,
 ) -> bool:
     """Delegation-graph check deciding every payment and reservation.
 
@@ -888,16 +885,19 @@ def check_compliance(
     contributes nothing.
 
     Every non-POLICY credential must carry a valid signature, except
-    fixture credentials parsed in unchecked mode.
+    fixture credentials parsed in unchecked mode. `fresh` verifies every
+    signature anew instead of trusting remembered successes; dispute
+    replay uses it to stay an independent re-verification.
     """
     if action is None:
         raise ValueError("compliance check requires an action attribute set")
+    verify = _verify_signature_fresh if fresh else verify_signature
     pool = list(policy) + list(creds)
     for cred in pool:
         if cred.authorizer == POLICY or cred.unchecked:
             continue
         try:
-            ok = verify_signature(cred)
+            ok = verify(cred)
         except UnsupportedAlgorithm as exc:
             raise UnverifiedCredential(str(exc)) from exc
         if not ok:

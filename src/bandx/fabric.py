@@ -851,14 +851,6 @@ class Fabric:
                 return isp_key, ne_id
         raise TopologyError(f"no ingress for provider at {location!r}")
 
-    def ingress_at(self, location: str) -> list[tuple[str, str]]:
-        out = []
-        for ne_id in sorted(self.nes):
-            ne = self.nes[ne_id]
-            if ne.location == location:
-                out.append((ne.isp_key, ne_id))
-        return out
-
     def route(self, isp_name: str, offer: Offer) -> list[tuple[str, str, str]]:
         """Segments between the offer's endpoints inside one provider:
         the offer's pinned route when present, else hop-count shortest

@@ -9,7 +9,9 @@ algorithm tag. POLICY is a reserved principal literal, never a key id.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
+import re
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
@@ -21,6 +23,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 POLICY = "POLICY"
 
 DEFAULT_ALGORITHM = "ed25519-base64"
+
+_SPACE_RE = re.compile(r"\s")
 
 
 class UnsupportedAlgorithm(Exception):
@@ -51,7 +55,7 @@ class PublicKeyId:
         if ":" not in text:
             raise ValueError(f"key id must be <algorithm>:<base64>, got {text!r}")
         algorithm, material = text.split(":", 1)
-        if not algorithm or not material or any(c.isspace() for c in text):
+        if not algorithm or not material or _SPACE_RE.search(text):
             raise ValueError(f"malformed key id {text!r}")
         return cls(algorithm, material)
 
@@ -84,9 +88,6 @@ class KeyPair:
     def sign(self, message: bytes) -> bytes:
         return self.scheme.sign(self.private, message)
 
-    def private_material(self) -> str:
-        raise NotImplementedError  # overridden per scheme via export helpers
-
 
 class Ed25519Scheme(SignatureScheme):
     key_algorithm = "ed25519-base64"
@@ -118,11 +119,17 @@ class Ed25519Scheme(SignatureScheme):
 
     def verify(self, key: PublicKeyId, message: bytes, signature: bytes) -> bool:
         try:
-            raw = base64.b64decode(key.material.encode("ascii"))
-            Ed25519PublicKey.from_public_bytes(raw).verify(signature, message)
+            _ed25519_public_key(key.material).verify(signature, message)
             return True
         except (InvalidSignature, ValueError):
             return False
+
+
+@functools.lru_cache(maxsize=1024)
+def _ed25519_public_key(material: str) -> Ed25519PublicKey:
+    """Public key object per key material; malformed material raises
+    ValueError and is not cached."""
+    return Ed25519PublicKey.from_public_bytes(base64.b64decode(material.encode("ascii")))
 
 
 _SCHEMES: dict[str, SignatureScheme] = {}

@@ -63,10 +63,6 @@ def parse_amount(text: str, currency: str = "USD") -> Money:
     return Money(int(m.group(1)) * 100 + int(m.group(2)), currency)
 
 
-def cents_from_decimal(text: str) -> int:
-    return parse_amount(text).cents
-
-
 def prorated_cents(full_price_cents: int, purchased_mbps: int, offered_mbps: int) -> int:
     """Linear pro-rating of a full price, rounded up to a minor unit."""
     if purchased_mbps <= 0 or offered_mbps <= 0:
@@ -77,12 +73,6 @@ def prorated_cents(full_price_cents: int, purchased_mbps: int, offered_mbps: int
 
 def is_date(text: str) -> bool:
     return bool(_DATE_RE.match(text))
-
-
-def require_date(text: str) -> str:
-    if not is_date(text):
-        raise MoneyError(f"not a YYYYMMDD date: {text!r}")
-    return text
 
 
 def instant_from_text(text: str) -> int:

@@ -10,14 +10,19 @@ the offer, and the check, all against one shared action attribute set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .credentials import (
     ActionAttributeSet,
     CAnd,
+    Clause,
     Compare,
     Credential,
     KeyLeaf,
+    Literal,
+    PAnd,
+    POr,
     build_credential,
     check_compliance,
     sign_credential,
@@ -213,14 +218,22 @@ def build_merchant_policy(
     """Local policy: any trusted guarantor jointly with the merchant key."""
     if not trusted_guarantors:
         raise ValueError("policy requires at least one trusted guarantor key")
-    gs = [str(g) for g in trusted_guarantors]
-    guarantor_part = f'"{gs[0]}"' if len(gs) == 1 else "(" + " || ".join(f'"{g}"' for g in gs) + ")"
-    merchant = str(merchant_key)
-    return build_credential(
-        POLICY,
-        f'{guarantor_part} && "{merchant}"',
-        f'app_domain == "{app_domain}" -> "true";',
+    return _policy(
+        tuple(str(g) for g in trusted_guarantors), str(merchant_key), app_domain
     )
+
+
+@functools.lru_cache(maxsize=256)
+def _policy(guarantors: tuple, merchant: str | None, app_domain: str) -> Credential:
+    """POLICY licensing any of `guarantors`, jointly with `merchant` when
+    given. Built once per arguments, structurally: the AST that parsing
+    `("G1" || "G2") && "M"` and `app_domain == "D" -> "true";` gives."""
+    leaves = tuple(KeyLeaf(PublicKeyId.from_text(g).canonical()) for g in guarantors)
+    licensees = leaves[0] if len(leaves) == 1 else POr(leaves)
+    if merchant is not None:
+        licensees = PAnd((licensees, KeyLeaf(PublicKeyId.from_text(merchant).canonical())))
+    test = Compare("app_domain", "==", Literal("string", app_domain), False)
+    return Credential(2, (), POLICY, licensees, (Clause(test, "true"),))
 
 
 def build_purchase_action(
@@ -274,9 +287,14 @@ def verify_payment(
     offer: Credential,
     check: Credential,
     action: ActionAttributeSet,
+    *,
+    fresh: bool = False,
 ) -> bool:
-    """Merchant-side payment gate: true means deliver now, deposit later."""
-    return check_compliance([merchant_policy], [guarantor, offer, check], (), action)
+    """Merchant-side payment gate: true means deliver now, deposit later.
+    `fresh` re-verifies every signature (see check_compliance)."""
+    return check_compliance(
+        [merchant_policy], [guarantor, offer, check], (), action, fresh=fresh
+    )
 
 
 def verify_keepalive_payment(
@@ -285,21 +303,19 @@ def verify_keepalive_payment(
     check: Credential,
     merchant_key: PublicKeyId | str,
     action: ActionAttributeSet,
+    *,
+    fresh: bool = False,
 ) -> bool:
     """Keepalive gate: no offer participates, so the redeeming merchant
     is the requester and the policy licenses the guarantor alone."""
     return check_compliance(
-        [guarantor_policy], [guarantor, check], {str(merchant_key)}, action
+        [guarantor_policy], [guarantor, check], {str(merchant_key)}, action, fresh=fresh
     )
 
 
 def build_keepalive_policy(
     trusted_guarantors: list[PublicKeyId | str], app_domain: str = APP_DOMAIN
 ) -> Credential:
-    gs = [str(g) for g in trusted_guarantors]
-    if not gs:
+    if not trusted_guarantors:
         raise ValueError("policy requires at least one trusted guarantor key")
-    body = f'"{gs[0]}"' if len(gs) == 1 else " || ".join(f'"{g}"' for g in gs)
-    return build_credential(
-        POLICY, body, f'app_domain == "{app_domain}" -> "true";'
-    )
+    return _policy(tuple(str(g) for g in trusted_guarantors), None, app_domain)

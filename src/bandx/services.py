@@ -494,9 +494,11 @@ class SocketTransport(Transport):
             self.send(dest, "CLOCK-SET", {"now": str(now)}, sender="admin")
 
     def close(self) -> None:
-        for conn in self._conns.values():
+        # A socket stays open until the stream files made from it close.
+        files = [f for pair in self._files.values() for f in pair]
+        for stream in files + list(self._conns.values()):
             try:
-                conn.close()
+                stream.close()
             except OSError:
                 pass
         self._conns.clear()

@@ -27,6 +27,7 @@ from .keys import PublicKeyId
 from .money import Money, prorated_cents
 from .offers import APP_DOMAIN, MalformedOffer, derive_offer_fields, validate_unbundling
 from .payments import (
+    MicrocheckView,
     build_keepalive_policy,
     build_merchant_policy,
     open_microcheck,
@@ -156,8 +157,9 @@ class SettlementCenter:
 
     def dispute_replay(self, record: TransactionRecord) -> bool:
         """Re-run the stored transaction; equals the verdict recorded at
-        deposit time for every journaled record."""
-        verdict, _ = self._verdict(record)
+        deposit time for every journaled record. Every signature is
+        verified anew, never taken from the verification memo."""
+        verdict, _ = self._verdict(record, _open_check(record), fresh=True)
         return verdict
 
     def recorded_verdict(self, record_id: str) -> bool | None:
@@ -173,10 +175,11 @@ class SettlementCenter:
 
     # -- verdict ------------------------------------------------------------
 
-    def _verdict(self, record: TransactionRecord) -> tuple[bool, str]:
-        try:
-            check = open_microcheck(record.microcheck)
-        except ValueError:
+    def _verdict(
+        self, record: TransactionRecord, check: MicrocheckView | None, fresh: bool = False
+    ) -> tuple[bool, str]:
+        """`check` is the record's opened microcheck, None when it is malformed."""
+        if check is None:
             return False, REASON_MALFORMED
         if check.merchant_key != record.merchant_key:
             return False, REASON_MALFORMED
@@ -194,6 +197,7 @@ class SettlementCenter:
                     record.microcheck,
                     record.merchant_key,
                     record.action,
+                    fresh=fresh,
                 )
             else:
                 ok = verify_payment(
@@ -204,6 +208,7 @@ class SettlementCenter:
                     record.offer,
                     record.microcheck,
                     record.action,
+                    fresh=fresh,
                 )
         except UnverifiedCredential:
             return False, REASON_BAD_SIGNATURE
@@ -236,14 +241,14 @@ class SettlementCenter:
 
     def _process(self, record: TransactionRecord) -> JournalEntry:
         record_id = record.record_id()
-        try:
-            check = open_microcheck(record.microcheck)
+        check = _open_check(record)
+        if check is not None:
             payer, nonce = check.payer_key, check.nonce
             amount_cents, currency = check.amount.cents, check.currency
-        except ValueError:
+        else:
             payer, nonce, amount_cents, currency = "-", "-", 0, "USD"
 
-        verdict, reason = self._verdict(record)
+        verdict, reason = self._verdict(record, check)
         accepted = verdict
         if accepted and (payer, nonce) in self._settled:
             accepted, reason = False, REASON_DOUBLE_DEPOSIT
@@ -266,10 +271,11 @@ class SettlementCenter:
             commission_cents=commission,
         )
         self._append_journal(entry)
-        self._apply(entry)
+        self._apply(entry, check.date if check is not None else record.received_at)
         return entry
 
-    def _apply(self, entry: JournalEntry) -> None:
+    def _apply(self, entry: JournalEntry, date: str) -> None:
+        """`date` is the check's date, which the daily payer cap counts by."""
         self._entries.append(entry)
         self._by_id[entry.record_id] = entry
         if not entry.accepted:
@@ -286,10 +292,6 @@ class SettlementCenter:
         self._balances[(self.settlement_key, cur)] = (
             self._balances.get((self.settlement_key, cur), 0) + entry.commission_cents
         )
-        try:
-            date = open_microcheck(entry.record.microcheck).date
-        except ValueError:
-            date = entry.record.received_at
         key = (entry.payer, date, cur)
         self._daily_totals[key] = self._daily_totals.get(key, 0) + entry.amount_cents
 
@@ -305,7 +307,16 @@ class SettlementCenter:
     def _replay_journal(self) -> None:
         data = self._journal_path.read_bytes()
         for entry in decode_journal(data):
-            self._apply(entry)
+            # Only an accepted entry counts toward a daily total.
+            check = _open_check(entry.record) if entry.accepted else None
+            self._apply(entry, check.date if check is not None else entry.record.received_at)
+
+
+def _open_check(record: TransactionRecord) -> MicrocheckView | None:
+    try:
+        return open_microcheck(record.microcheck)
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,25 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from bandx.keys import KeyPair, generate_keypair
+from bandx.keys import Ed25519Scheme, KeyPair, generate_keypair
 from bandx.market import ClearingHouse, OfferQuery
 from bandx.money import Money
 from bandx.offers import Offer, make_offer_credential, validate_unbundling
 from bandx.payments import Wallet, build_purchase_action, issue_guarantor_credential
 from bandx.settlement import TransactionRecord
+
+def counting_scheme_verify(monkeypatch) -> list:
+    """Record the key of every Ed25519 scheme verification from now on."""
+    calls: list = []
+    original = Ed25519Scheme.verify
+
+    def counted(self, key, message, signature):
+        calls.append(key)
+        return original(self, key, message, signature)
+
+    monkeypatch.setattr(Ed25519Scheme, "verify", counted)
+    return calls
+
 
 LOCATIONS = ["Rome", "Paris", "Dublin", "NYC", "Atlanta", "Berlin", "Oslo", "Lisbon"]
 

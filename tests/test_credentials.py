@@ -42,6 +42,7 @@ from bandx.keys import (
 )
 
 from conftest import make_chain
+from helpers import counting_scheme_verify
 
 PAPER_CG = """\
 Keynote-Version: 2
@@ -273,6 +274,71 @@ def test_tampered_literal_fails_verification():
     _, signed = _sample_signed()
     tampered = parse_credential(render_credential(signed).replace("5.01", "9.99"))
     assert verify_signature(tampered) is False
+
+
+def test_successful_verification_is_remembered(monkeypatch):
+    pair = generate_keypair("memo:signer")
+    signed = sign_credential(build_credential(pair.public_id, "", 'memo == "1";'), pair)
+    calls = counting_scheme_verify(monkeypatch)
+    assert verify_signature(signed) is True
+    assert verify_signature(parse_credential(render_credential(signed))) is True
+    assert len(calls) == 1
+
+
+def test_failed_verification_is_not_remembered(monkeypatch):
+    pair = generate_keypair("memo:signer")
+    signed = sign_credential(build_credential(pair.public_id, "", 'memo == "2";'), pair)
+    tampered = parse_credential(render_credential(signed).replace('"2"', '"3"'))
+    calls = counting_scheme_verify(monkeypatch)
+    assert verify_signature(tampered) is False
+    assert verify_signature(tampered) is False
+    assert len(calls) == 2
+    # The remembered success of the original does not carry over.
+    assert verify_signature(signed) is True
+    assert verify_signature(tampered) is False
+
+
+def test_memo_stays_bounded_and_exact_under_threads(monkeypatch):
+    import sys
+    import threading
+
+    from bandx import credentials
+
+    monkeypatch.setattr(credentials, "_verified", {})  # empty, whatever ran before
+    monkeypatch.setattr(credentials, "_MEMO_SIZE", 8)
+    pair = generate_keypair("memo:threads")
+    signed = [
+        sign_credential(build_credential(pair.public_id, "", f'n == "{i}";'), pair)
+        for i in range(24)
+    ]
+    tampered = [
+        parse_credential(render_credential(c).replace(f'"{i}"', f'"x{i}"'))
+        for i, c in enumerate(signed)
+    ]
+    wrong: list = []
+
+    def worker(offset: int) -> None:
+        for k in range(len(signed)):
+            i = (k + offset) % len(signed)
+            try:
+                if verify_signature(signed[i]) is not True or verify_signature(tampered[i]):
+                    wrong.append(i)
+            except Exception as exc:  # a lost update surfaces as a KeyError
+                wrong.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(5 * t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(credentials._verified) <= 8
 
 
 def test_sign_with_foreign_key_is_a_key_mismatch():

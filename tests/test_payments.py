@@ -36,7 +36,7 @@ from bandx.settlement import (
 )
 
 from conftest import make_chain
-from helpers import TODAY, settlement_world
+from helpers import TODAY, counting_scheme_verify, settlement_world
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +325,18 @@ def test_replay_accepted_record(chain):
     csc.deposit_batch([record])
     assert csc.dispute_replay(record) is True
     assert csc.recorded_verdict(record.record_id()) is True
+
+
+def test_replay_verifies_every_signature_anew(chain, monkeypatch):
+    csc = SettlementCenter([chain.guarantor.public_id])
+    record = _fixture_record(chain)
+    csc.deposit_batch([record])  # the memo now holds all three signatures
+    calls = counting_scheme_verify(monkeypatch)
+    csc.deposit_batch([record])  # a double deposit, decided from the memo
+    assert calls == []
+    assert csc.dispute_replay(record) is True
+    signers = {chain.guarantor.public_id, chain.merchant.public_id, chain.alice.public_id}
+    assert len(calls) == 3 and set(calls) == signers
 
 
 def test_replay_tampered_record_is_false(chain):

@@ -4,12 +4,13 @@ final-state equivalence with the in-process bus."""
 from __future__ import annotations
 
 import socket
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from bandx.envelope import Envelope, decode, encode
+from bandx.envelope import Envelope, ProtocolError, decode, encode, read_envelope
 from bandx.scenario import build_services, parse_scenario, run_parsed
 from bandx.services import SocketTransport, serve
 
@@ -80,3 +81,33 @@ def _read_one(rfile) -> bytes:
     length_line = rfile.readline()
     payload = rfile.read(int(length_line))
     return head + length_line + payload
+
+
+def test_close_ends_the_connection_for_the_server():
+    """close() must close the stream files too: while they are open the
+    socket stays open, here because the caller keeps the error whose
+    traceback still holds them."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+    seen: list = []
+
+    def serve_one() -> None:
+        conn, _ = listener.accept()
+        conn.settimeout(10)
+        with conn, conn.makefile("rb") as rfile:
+            read_envelope(rfile)
+            conn.sendall(b"not an envelope\n")
+            try:
+                seen.append(read_envelope(rfile))
+            except OSError as exc:  # a timeout: the client never closed
+                seen.append(exc)
+
+    server = threading.Thread(target=serve_one)
+    server.start()
+    transport = SocketTransport({"peer": listener.getsockname()[:2]})
+    with pytest.raises(ProtocolError) as failure:  # kept until the test ends
+        transport.send("peer", "PING")
+    transport.close()
+    server.join(15)
+    listener.close()
+    assert seen == [None], "the server did not see end of stream after close()"
