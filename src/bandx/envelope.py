@@ -19,6 +19,10 @@ import re
 from dataclasses import dataclass, field
 
 MAGIC = "BANDX1"
+# Largest payload a reader accepts. A DEPOSIT of 24 records is about
+# 40 KiB; the cap only keeps a bad length from blocking or exhausting
+# the reader.
+MAX_PAYLOAD = 16 * 1024 * 1024
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_.-]*$")
 _TYPE_RE = re.compile(r"^[A-Z][A-Z0-9-]*$")
@@ -143,6 +147,8 @@ def decode(data: bytes) -> tuple[Envelope, bytes]:
         length = int(data[head_end + 1 : len_end])
     except ValueError:
         raise ProtocolError("bad payload length") from None
+    if length < 0:
+        raise ProtocolError("negative payload length")
     start = len_end + 1
     if start + length > len(data):
         raise ProtocolError("truncated payload")
@@ -166,6 +172,8 @@ def read_envelope(stream) -> Envelope | None:
         length = int(length_line)
     except ValueError:
         raise ProtocolError("bad header numbers") from None
+    if not 0 <= length <= MAX_PAYLOAD:
+        raise ProtocolError(f"payload length {length} outside 0..{MAX_PAYLOAD}")
     payload = stream.read(length)
     if len(payload) != length:
         raise ProtocolError("eof inside payload")

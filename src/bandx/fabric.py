@@ -21,8 +21,12 @@ is left to the dispute mechanism.
 
 from __future__ import annotations
 
+import heapq
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import itemgetter
 
 from .credentials import (
     BadSignature,
@@ -338,6 +342,46 @@ class Link:
     capacity_mbps: int
 
 
+_instant = itemgetter(0)
+
+
+class LoadTimeline:
+    """Committed load on one link as a sorted list of `(instant, delta)`
+    events: `+mbps` where a row starts, `-mbps` where it ends, with the
+    deltas alone in a parallel list. At one instant the ends sort before
+    the starts, so no running sum inside one instant's events exceeds
+    the load just before or just after that instant. Insert and delete
+    are a bisect plus one list shift; a window query is two bisects and
+    one scan of the deltas in C."""
+
+    __slots__ = ("events", "deltas")
+
+    def __init__(self) -> None:
+        self.events: list[tuple[int, int]] = []
+        self.deltas: list[int] = []
+
+    def add(self, start: int, end: int, mbps: int) -> None:
+        for event in ((start, mbps), (end, -mbps)):
+            i = bisect_right(self.events, event)
+            self.events.insert(i, event)
+            self.deltas.insert(i, event[1])
+
+    def drop(self, start: int, end: int, mbps: int) -> None:
+        for event in ((start, mbps), (end, -mbps)):
+            i = bisect_left(self.events, event)
+            if i == len(self.events) or self.events[i] != event:
+                raise ValueError(f"no load event {event} on the timeline")
+            del self.events[i]
+            del self.deltas[i]
+
+    def peak(self, start: int, end: int) -> int:
+        """Worst load over [start, end), for start < end: the load at
+        `start`, then after each event instant inside the window."""
+        i = bisect_right(self.events, start, key=_instant)
+        j = bisect_left(self.events, end, key=_instant)
+        return max(accumulate(self.deltas[i:j], initial=sum(self.deltas[:i])))
+
+
 @dataclass
 class NetworkElement:
     ne_id: str
@@ -357,6 +401,18 @@ class NetworkElement:
     challenges: dict[str, Challenge] = field(default_factory=dict)
     used_challenges: set[str] = field(default_factory=set)
     outbox: list[TransactionRecord] = field(default_factory=list)
+    # Admission index, kept in step with active_rows and calendar by
+    # _charge_active/_release_active and _book/_unbook alone.
+    timelines: dict[str, LoadTimeline] = field(default_factory=dict, repr=False)
+    # Heaps of (end, neighbor, reservation_id) per calendar row and of
+    # (issued_at + ttl, challenge_id) per issued challenge; an entry whose
+    # row or challenge is already gone is skipped when it is popped.
+    _calendar_ends: list[tuple[int, str, str]] = field(
+        default_factory=list, init=False, repr=False
+    )
+    _challenge_ends: list[tuple[int, str]] = field(
+        default_factory=list, init=False, repr=False
+    )
 
     @property
     def isp_key(self) -> str:
@@ -367,6 +423,7 @@ class NetworkElement:
         self.active_rows.setdefault(neighbor, {})
         self.calendar.setdefault(neighbor, {})
         self.active_load.setdefault(neighbor, 0)
+        self.timelines.setdefault(neighbor, LoadTimeline())
 
     # -- challenges ---------------------------------------------------------
 
@@ -379,7 +436,17 @@ class NetworkElement:
             ttl_seconds=ttl_seconds,
         )
         self.challenges[challenge.challenge_id] = challenge
+        heapq.heappush(self._challenge_ends, (now + ttl_seconds, challenge.challenge_id))
         return challenge
+
+    def _prune_challenges(self, now: int) -> None:
+        """Forget challenges past their ttl, redeemed or not. A pruned id
+        is unknown, so redeeming it again is refused as expired."""
+        ends = self._challenge_ends
+        while ends and ends[0][0] < now:
+            _deadline, challenge_id = heapq.heappop(ends)
+            self.challenges.pop(challenge_id, None)
+            self.used_challenges.discard(challenge_id)
 
     def _consume_challenge(self, challenge_id: str, now: int) -> None:
         if challenge_id in self.used_challenges:
@@ -397,19 +464,7 @@ class NetworkElement:
 
     def _window_load(self, neighbor: str, start: int, end: int) -> int:
         """Worst-case committed load on the link over [start, end)."""
-        rows = [
-            (r.start, r.end, r.bandwidth_mbps)
-            for r in self.active_rows[neighbor].values()
-            if r.qos_class != QOS_PREMIUM
-        ]
-        rows += list(self.calendar[neighbor].values())
-        overlapping = [(s, e, m) for s, e, m in rows if s < end and e > start]
-        points = {start} | {s for s, _, _ in overlapping if start <= s < end}
-        worst = 0
-        for t in points:
-            load = sum(m for s, e, m in overlapping if s <= t < e)
-            worst = max(worst, load)
-        return worst
+        return self.timelines[neighbor].peak(start, end)
 
     def _can_carry(self, neighbor: str, mbps: int, start: int, end: int) -> bool:
         link = self.links.get(neighbor)
@@ -418,14 +473,34 @@ class NetworkElement:
         return self._window_load(neighbor, start, end) + mbps <= link.capacity_mbps
 
     def _charge_active(self, neighbor: str, res: Reservation) -> None:
-        self.active_rows[neighbor][res.reservation_id] = res
+        rows = self.active_rows[neighbor]
+        if res.reservation_id in rows:
+            return
+        rows[res.reservation_id] = res
         if res.qos_class != QOS_PREMIUM:
             self.active_load[neighbor] += res.bandwidth_mbps
+            self.timelines[neighbor].add(res.start, res.end, res.bandwidth_mbps)
 
     def _release_active(self, neighbor: str, res: Reservation) -> None:
-        if self.active_rows[neighbor].pop(res.reservation_id, None) is not None:
-            if res.qos_class != QOS_PREMIUM:
-                self.active_load[neighbor] -= res.bandwidth_mbps
+        row = self.active_rows[neighbor].pop(res.reservation_id, None)
+        if row is not None and row.qos_class != QOS_PREMIUM:
+            self.active_load[neighbor] -= row.bandwidth_mbps
+            self.timelines[neighbor].drop(row.start, row.end, row.bandwidth_mbps)
+
+    def _book(self, neighbor: str, res: Reservation) -> None:
+        entries = self.calendar[neighbor]
+        if res.reservation_id in entries:
+            return
+        entries[res.reservation_id] = (res.start, res.end, res.bandwidth_mbps)
+        self.bookings[res.reservation_id] = res
+        self.timelines[neighbor].add(res.start, res.end, res.bandwidth_mbps)
+        heapq.heappush(self._calendar_ends, (res.end, neighbor, res.reservation_id))
+
+    def _unbook(self, neighbor: str, reservation_id: str) -> None:
+        row = self.calendar[neighbor].pop(reservation_id, None)
+        self.bookings.pop(reservation_id, None)
+        if row is not None:
+            self.timelines[neighbor].drop(*row)
 
     def free_capacity(self, neighbor: str) -> int:
         link = self.links[neighbor]
@@ -630,13 +705,11 @@ class NetworkElement:
             ne = self.fabric.ne(from_ne)
             if not ne._can_carry(to_ne, res.bandwidth_mbps, res.start, res.end):
                 for peer, neighbor in committed:
-                    peer.calendar[neighbor].pop(res.reservation_id, None)
-                    peer.bookings.pop(res.reservation_id, None)
+                    peer._unbook(neighbor, res.reservation_id)
                 raise CapacityExhausted(
                     f"future interval oversubscribed on {from_ne}->{to_ne}"
                 )
-            ne.calendar[to_ne][res.reservation_id] = (res.start, res.end, res.bandwidth_mbps)
-            ne.bookings[res.reservation_id] = res
+            ne._book(to_ne, res)
             committed.append((ne, to_ne))
 
     def activate_reservation(self, cred: Credential, now: int) -> Reservation:
@@ -657,8 +730,7 @@ class NetworkElement:
             res.next_payment_due = now + self.keepalive_period
         for from_ne, to_ne, _name in res.segments:
             ne = self.fabric.ne(from_ne)
-            ne.calendar[to_ne].pop(res.reservation_id, None)
-            ne.bookings.pop(res.reservation_id, None)
+            ne._unbook(to_ne, res.reservation_id)
             ne._charge_active(to_ne, res)
         return res
 
@@ -717,11 +789,11 @@ class NetworkElement:
                 elif res.next_payment_due is not None and res.next_payment_due <= now:
                     self._teardown(res, LAPSED)
                     count += 1
-        for neighbor, entries in self.calendar.items():
-            for res_id, (s, e, _m) in list(entries.items()):
-                if e <= now:
-                    del entries[res_id]
-                    self.bookings.pop(res_id, None)
+        ends = self._calendar_ends
+        while ends and ends[0][0] <= now:
+            _end, neighbor, res_id = heapq.heappop(ends)
+            self._unbook(neighbor, res_id)
+        self._prune_challenges(now)
         return count
 
     def _teardown(self, res: Reservation, new_state: str) -> None:
@@ -739,9 +811,7 @@ class NetworkElement:
             return True
         if res.state == NOTIONAL:
             for from_ne, to_ne, _name in res.segments:
-                ne = self.fabric.ne(from_ne)
-                ne.calendar[to_ne].pop(res.reservation_id, None)
-                ne.bookings.pop(res.reservation_id, None)
+                self.fabric.ne(from_ne)._unbook(to_ne, res.reservation_id)
             res.state = EXPIRED
             return True
         return False
@@ -922,8 +992,9 @@ class Fabric:
 
 def capacity_violations(fabric: Fabric) -> list[str]:
     """Full-state audit: recompute loads from the reservation tables and
-    report any link/instant over capacity or any stale incremental
-    counter. An empty list is a clean audit."""
+    report any link/instant over capacity, any stale incremental
+    counter, or an admission timeline that differs from the events the
+    tables imply. An empty list is a clean audit."""
     problems: list[str] = []
     for ne_id in sorted(fabric.nes):
         ne = fabric.nes[ne_id]
@@ -939,6 +1010,15 @@ def capacity_violations(fabric: Fabric) -> list[str]:
                 )
             intervals = [(r.start, r.end, r.bandwidth_mbps) for r in rows]
             intervals += list(ne.calendar[neighbor].values())
+            events = sorted(
+                event for s, e, m in intervals for event in ((s, m), (e, -m))
+            )
+            timeline = ne.timelines[neighbor]
+            if timeline.events != events or timeline.deltas != [d for _, d in events]:
+                problems.append(
+                    f"{ne_id}->{neighbor}: load timeline differs from the tables "
+                    f"({len(timeline.events)} events, {len(events)} expected)"
+                )
             for t in sorted({s for s, _, _ in intervals}):
                 load = sum(m for s, e, m in intervals if s <= t < e)
                 if load > link.capacity_mbps:

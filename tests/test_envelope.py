@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from bandx.envelope import Envelope, ProtocolError, decode, encode, read_envelope
+from bandx.envelope import (
+    MAX_PAYLOAD,
+    Envelope,
+    ProtocolError,
+    decode,
+    encode,
+    read_envelope,
+)
 
 
 def test_round_trip_simple():
@@ -66,6 +73,7 @@ def test_concatenated_envelopes_decode_in_order():
         b"BANDX1 A s x\n0\n",
         b"BANDX1 A s 1\nnope\n",
         b"BANDX1 A s 1\n100\nshort",
+        b"BANDX1 A s 1\n-1\n",
         b"BANDX1 A s 1\n9\nkey<<5\nab\n",
     ],
 )
@@ -82,3 +90,16 @@ def test_stream_reader_matches_decode():
     assert read_envelope(stream) == env
     assert read_envelope(stream) == env
     assert read_envelope(stream) is None
+
+
+@pytest.mark.parametrize("length", [-1, -(2 ** 40), MAX_PAYLOAD + 1])
+def test_stream_reader_refuses_lengths_out_of_range(length):
+    import io
+
+    class NoRead(io.BytesIO):
+        def read(self, size=-1):  # a socket stream would block here
+            raise AssertionError(f"read({size}) on an out-of-range length")
+
+    stream = NoRead(f"BANDX1 A s 1\n{length}\n".encode("ascii"))
+    with pytest.raises(ProtocolError, match="payload length"):
+        read_envelope(stream)

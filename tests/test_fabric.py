@@ -80,6 +80,35 @@ def test_unknown_challenge_refused():
         other.handle_spot_request(req, world.now)
 
 
+def test_redeemed_challenge_replayed_after_its_ttl_is_refused():
+    world = two_isp_world()
+    ne = world.fabric.ne("A-Rome")
+    req = spot_request(world, ne, [_offer_a(world)], 50, world.now)
+    ne.handle_spot_request(req, world.now)
+    ne.expire_reservations(world.now + 60)  # at the ttl: still remembered
+    with pytest.raises(ReplayedChallenge):
+        ne.handle_spot_request(req, world.now + 60)
+    ne.expire_reservations(world.now + 61)
+    assert req.challenge_id not in ne.used_challenges
+    with pytest.raises(ExpiredChallenge):
+        ne.handle_spot_request(req, world.now + 61)
+    assert ne.free_capacity("A-Paris") == 50
+
+
+def test_challenge_state_is_pruned_by_ttl():
+    world = two_isp_world()
+    ne = world.fabric.ne("A-Rome")
+    for i in range(50):
+        ne.issue_challenge(world.now + i)
+    spot = spot_request(world, ne, [_offer_a(world)], 50, world.now + 49)
+    ne.handle_spot_request(spot, world.now + 49)
+    ne.expire_reservations(world.now + 100)
+    assert len(ne.challenges) == 10  # issued at +40..+49, live until +100..+109
+    assert len(ne.used_challenges) == 1
+    ne.expire_reservations(world.now + 110)
+    assert ne.challenges == {} and ne.used_challenges == set()
+
+
 # ---------------------------------------------------------------------------
 # Spot admission
 # ---------------------------------------------------------------------------
@@ -411,3 +440,15 @@ def test_expiry_at_interval_end_restores_capacity():
 def test_expire_on_idle_fabric_is_zero():
     world = two_isp_world()
     assert world.fabric.expire_all(world.now) == 0
+
+
+def test_audit_reports_a_timeline_that_drifted_from_the_tables():
+    world = two_isp_world()
+    ne = world.fabric.ne("A-Rome")
+    start = world.now + 3 * DAY
+    _book(world, ne, [_offer_a(world)], 50, start, start + HOUR, world.now)
+    assert capacity_violations(world.fabric) == []
+    ne.timelines["A-Paris"].drop(start, start + HOUR, 50)
+    assert capacity_violations(world.fabric) == [
+        "A-Rome->A-Paris: load timeline differs from the tables (0 events, 2 expected)"
+    ]

@@ -30,8 +30,15 @@ def live_world():
         servers[role] = server
         endpoints[role] = ("127.0.0.1", server.server_address[1])
     yield scn, services, endpoints
+    # shutdown() waits out one poll of serve_forever; stop every server at
+    # once so the test waits one poll, not one per role.
+    stoppers = [threading.Thread(target=s.shutdown) for s in servers.values()]
+    for stopper in stoppers:
+        stopper.start()
+    for stopper in stoppers:
+        stopper.join(10)
+        assert not stopper.is_alive(), "a server did not shut down"
     for server in servers.values():
-        server.shutdown()
         server.server_close()
 
 
@@ -65,6 +72,21 @@ def test_malformed_bytes_do_not_kill_the_connection(live_world):
     conn.sendall(encode(Envelope("REPORT", "probe", 1)))
     reply, _ = decode(_read_one(rfile))
     assert reply.msg_type == "CH-REPORT"
+    conn.close()
+
+
+def test_negative_payload_length_gets_an_error_not_a_hang(live_world):
+    _scn, _services, endpoints = live_world
+    conn = socket.create_connection(endpoints["ch"], timeout=10)
+    rfile = conn.makefile("rb")
+    conn.sendall(b"BANDX1 REPORT probe 1\n-1\n")
+    reply, _ = decode(_read_one(rfile))
+    assert reply.msg_type == "ERROR" and reply.get("code") == "protocol"
+    assert "payload length -1" in reply.get("detail")
+    conn.sendall(encode(Envelope("REPORT", "probe", 2)))
+    reply, _ = decode(_read_one(rfile))
+    assert reply.msg_type == "CH-REPORT"
+    rfile.close()
     conn.close()
 
 
