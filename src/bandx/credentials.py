@@ -17,9 +17,10 @@ byte layout are documented in docs/formats.md.
 
 Signatures cover `canonical_bytes`, a deterministic rendering of every
 field except Signature, so semantically identical texts verify
-identically regardless of layout. Successful verifications are
-remembered (bounded; dispute replay bypasses the memo); see "Signature
-memo" in docs/formats.md.
+identically regardless of layout. Parsed texts and successful
+verifications are remembered (bounded; dispute replay bypasses the
+signature memo); see "Parse memo" and "Signature memo" in
+docs/formats.md.
 """
 
 from __future__ import annotations
@@ -491,13 +492,39 @@ def _parse_clauses(stream: _TokenStream) -> tuple | None:
     return tuple(clauses)
 
 
+# Parsed credentials, keyed by (text, unchecked): the whole text, never a
+# digest of it, so no collision can hand back another credential. A
+# Credential is immutable and parsing is a pure function of the key, so
+# a remembered result equals a fresh parse. Failures are not kept. The
+# oldest entry goes first once the bound is hit.
+_PARSE_MEMO_SIZE = 256
+_parsed: dict[tuple[str, bool], Credential] = {}
+_parsed_lock = threading.Lock()
+
+
 def parse_credential(text: str, unchecked: bool = False) -> Credential:
     """Parse one credential block.
 
     `unchecked` marks the credential as exempt from signature checking in
     compliance queries; it exists for conformance fixtures whose published
     keys are truncated and unverifiable. Production paths never set it.
+    A repeated text returns the credential parsed the first time (see
+    "Parse memo" in docs/formats.md).
     """
+    key = (text, unchecked)
+    cred = _parsed.get(key)
+    if cred is not None:
+        return cred
+    cred = _parse_credential(text, unchecked)
+    with _parsed_lock:
+        if key not in _parsed:
+            if len(_parsed) >= _PARSE_MEMO_SIZE:
+                del _parsed[next(iter(_parsed))]
+            _parsed[key] = cred
+    return cred
+
+
+def _parse_credential(text: str, unchecked: bool) -> Credential:
     fields = _logical_fields(text)
     last = -1
     by_name: dict[str, tuple[str, int]] = {}

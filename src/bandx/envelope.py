@@ -23,6 +23,9 @@ MAGIC = "BANDX1"
 # 40 KiB; the cap only keeps a bad length from blocking or exhausting
 # the reader.
 MAX_PAYLOAD = 16 * 1024 * 1024
+# Longest header or payload-length line a reader accepts, newline
+# included; real header lines are under 100 bytes.
+MAX_HEADER_LINE = 4096
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_.-]*$")
 _TYPE_RE = re.compile(r"^[A-Z][A-Z0-9-]*$")
@@ -156,15 +159,22 @@ def decode(data: bytes) -> tuple[Envelope, bytes]:
     return Envelope(msg_type, sender, seq, fields, blocks), data[start + length :]
 
 
+def _read_header_line(stream) -> bytes:
+    line = stream.readline(MAX_HEADER_LINE)
+    if len(line) == MAX_HEADER_LINE and not line.endswith(b"\n"):
+        raise ProtocolError(f"header line longer than {MAX_HEADER_LINE} bytes")
+    return line
+
+
 def read_envelope(stream) -> Envelope | None:
     """Read one envelope from a binary file-like stream; None on EOF."""
-    head = stream.readline()
+    head = _read_header_line(stream)
     if not head:
         return None
     parts = head.decode("utf-8", errors="replace").rstrip("\n").split(" ")
     if len(parts) != 4 or parts[0] != MAGIC:
         raise ProtocolError(f"bad envelope header {head!r}")
-    length_line = stream.readline()
+    length_line = _read_header_line(stream)
     if not length_line:
         raise ProtocolError("eof before payload length")
     try:

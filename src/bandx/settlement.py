@@ -2,20 +2,23 @@
 guard, the account ledger, and dispute replay.
 
 The ledger is a single-writer state machine: batches apply strictly
-sequentially, and every processed record is appended to a journal before
-its effects count, so conservation, the settled-nonce set, and recorded
-verdicts all survive a restart. A record is self-contained (offer,
-check, guarantor, action), which is what makes replaying a disputed
-transaction possible from the stored bytes alone.
+sequentially, and every processed record is appended to a journal and
+flushed before its effects count, so conservation, the settled-nonce
+set, and recorded verdicts all survive a restart after a process crash.
+The journal is never fsynced, so a power loss can drop records the
+operating system had not yet written out. A record is self-contained
+(offer, check, guarantor, action), which is what makes replaying a
+disputed transaction possible from the stored bytes alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .credentials import (
     ActionAttributeSet,
@@ -136,9 +139,9 @@ class SettlementCenter:
         accepted: list[tuple[str, Money]] = []
         rejected: list[tuple[str, str]] = []
         commissions: dict[str, int] = {}
-        with self._lock:
+        with self._lock, self._open_journal(records) as journal:
             for record in records:
-                entry = self._process(record)
+                entry = self._process(record, journal)
                 if entry.accepted:
                     accepted.append((entry.record_id, Money(entry.amount_cents, entry.currency)))
                     commissions[entry.currency] = (
@@ -239,7 +242,7 @@ class SettlementCenter:
     def _commission(self, amount_cents: int) -> int:
         return -(-(amount_cents * self._bp) // 10_000)  # ceil
 
-    def _process(self, record: TransactionRecord) -> JournalEntry:
+    def _process(self, record: TransactionRecord, journal: BinaryIO | None) -> JournalEntry:
         record_id = record.record_id()
         check = _open_check(record)
         if check is not None:
@@ -270,7 +273,9 @@ class SettlementCenter:
             currency=currency,
             commission_cents=commission,
         )
-        self._append_journal(entry)
+        if journal is not None:
+            journal.write(encode_journal_entry(entry))
+            journal.flush()
         self._apply(entry, check.date if check is not None else record.received_at)
         return entry
 
@@ -297,12 +302,12 @@ class SettlementCenter:
 
     # -- journal ------------------------------------------------------------
 
-    def _append_journal(self, entry: JournalEntry) -> None:
-        if self._journal_path is None:
-            return
-        with self._journal_path.open("ab") as fh:
-            fh.write(encode_journal_entry(entry))
-            fh.flush()
+    def _open_journal(self, records: list[TransactionRecord]):
+        """The journal opened for appending one batch; None without a
+        journal or without records, so an empty batch creates no file."""
+        if self._journal_path is None or not records:
+            return contextlib.nullcontext()
+        return self._journal_path.open("ab")
 
     def _replay_journal(self) -> None:
         data = self._journal_path.read_bytes()
@@ -326,7 +331,13 @@ def _open_check(record: TransactionRecord) -> MicrocheckView | None:
 
 def encode_record(record: TransactionRecord) -> bytes:
     header = f"record merchant={record.merchant_key} received={record.received_at}\n"
-    out = [header.encode("utf-8")]
+    return header.encode("utf-8") + _record_body(record)
+
+
+def _record_body(record: TransactionRecord) -> bytes:
+    """The four length-prefixed blocks that follow a record or deposit
+    header line; `_read_record_body` reads them back."""
+    out = []
     for block in (
         record.offer.text().encode("utf-8"),
         record.microcheck.text().encode("utf-8"),
@@ -345,29 +356,10 @@ def decode_record(data: bytes) -> TransactionRecord:
         parts = header.split(" ")
         if not parts or parts[0] != "record":
             raise ValueError(f"not a record header: {header!r}")
-        fields = {}
-        for token in parts[1:]:
-            key, _, value = token.partition("=")
-            fields[key] = value
-        blocks = []
-        for _ in range(4):
-            block, pos = _read_block(data, pos)
-            blocks.append(block)
+        record, _ = _read_record_body(data, pos, _header_fields(parts[1:]))
     except _Torn:
         raise ValueError("truncated record bytes") from None
-    attrs = {}
-    for line in blocks[3].decode("utf-8").splitlines():
-        if line:
-            k, _, v = line.partition("=")
-            attrs[k] = v
-    return TransactionRecord(
-        offer=parse_credential(blocks[0].decode("utf-8")),
-        microcheck=parse_credential(blocks[1].decode("utf-8")),
-        guarantor=parse_credential(blocks[2].decode("utf-8")),
-        action=ActionAttributeSet(attrs),
-        merchant_key=fields["merchant"],
-        received_at=fields["received"],
-    )
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +377,7 @@ def encode_journal_entry(entry: JournalEntry) -> bytes:
         f"currency={entry.currency} commission={entry.commission_cents} "
         f"merchant={r.merchant_key} received={r.received_at}\n"
     )
-    blocks = [
-        r.offer.text().encode("utf-8"),
-        r.microcheck.text().encode("utf-8"),
-        r.guarantor.text().encode("utf-8"),
-        _action_bytes(r.action),
-    ]
-    out = [header.encode("utf-8")]
-    for block in blocks:
-        out.append(f"{len(block)}\n".encode("ascii"))
-        out.append(block)
-        out.append(b"\n")
-    return b"".join(out)
+    return header.encode("utf-8") + _record_body(r)
 
 
 def decode_journal(data: bytes) -> list[JournalEntry]:
@@ -442,38 +423,45 @@ def _read_block(data: bytes, pos: int) -> tuple[bytes, int]:
     return block, pos + length + 1
 
 
-def _decode_one(data: bytes, pos: int) -> tuple[JournalEntry | None, int]:
-    header, pos = _read_line(data, pos)
-    parts = header.split(" ")
-    if len(parts) < 3 or parts[0] != "deposit":
-        return None, pos
-    record_id = parts[1]
-    fields = {}
-    for token in parts[2:]:
-        key, _, value = token.partition("=")
-        fields[key] = value
+def _header_fields(tokens: list[str]) -> dict[str, str]:
+    return {key: value for key, _, value in (t.partition("=") for t in tokens)}
+
+
+def _read_record_body(
+    data: bytes, pos: int, fields: dict[str, str]
+) -> tuple[TransactionRecord, int]:
+    """The four blocks after a record or deposit header line (offer,
+    check, guarantor, action map) as a record carrying the header's
+    merchant and received fields; raises _Torn on short input."""
     blocks = []
     for _ in range(4):
         block, pos = _read_block(data, pos)
         blocks.append(block)
-    offer = parse_credential(blocks[0].decode("utf-8"))
-    check = parse_credential(blocks[1].decode("utf-8"))
-    guarantor = parse_credential(blocks[2].decode("utf-8"))
     attrs = {}
     for line in blocks[3].decode("utf-8").splitlines():
         if line:
             k, _, v = line.partition("=")
             attrs[k] = v
     record = TransactionRecord(
-        offer=offer,
-        microcheck=check,
-        guarantor=guarantor,
+        offer=parse_credential(blocks[0].decode("utf-8")),
+        microcheck=parse_credential(blocks[1].decode("utf-8")),
+        guarantor=parse_credential(blocks[2].decode("utf-8")),
         action=ActionAttributeSet(attrs),
         merchant_key=fields["merchant"],
         received_at=fields["received"],
     )
+    return record, pos
+
+
+def _decode_one(data: bytes, pos: int) -> tuple[JournalEntry | None, int]:
+    header, pos = _read_line(data, pos)
+    parts = header.split(" ")
+    if len(parts) < 3 or parts[0] != "deposit":
+        return None, pos
+    fields = _header_fields(parts[2:])
+    record, pos = _read_record_body(data, pos, fields)
     entry = JournalEntry(
-        record_id=record_id,
+        record_id=parts[1],
         record=record,
         verdict=fields["verdict"] == "true",
         accepted=fields["accepted"] == "yes",

@@ -314,12 +314,17 @@ def test_criterion_7_unbundling_and_exact_proration():
           started)
 
 
-def _free_port() -> int:
-    s = socket.socket()
-    s.bind(("127.0.0.1", 0))
-    port = s.getsockname()[1]
-    s.close()
-    return port
+def _free_ports(count: int) -> list[int]:
+    """Distinct free ports: each socket stays bound until all are drawn,
+    so the kernel cannot hand one port to two roles."""
+    socks = [socket.socket() for _ in range(count)]
+    try:
+        for s in socks:
+            s.bind(("127.0.0.1", 0))
+        return [s.getsockname()[1] for s in socks]
+    finally:
+        for s in socks:
+            s.close()
 
 
 def test_criterion_8_transport_equivalence_four_processes(tmp_path):
@@ -332,7 +337,8 @@ def test_criterion_8_transport_equivalence_four_processes(tmp_path):
         sim = run_parsed(scn)
 
         outdir = tmp_path / scenario_path.stem
-        ports = {role: _free_port() for role in ("ch", "isp", "csc", "guarantor")}
+        roles = ("ch", "isp", "csc", "guarantor")
+        ports = dict(zip(roles, _free_ports(len(roles))))
         configs = materialize_configs(scn, outdir, ports)
         procs = [
             subprocess.Popen(
@@ -357,8 +363,10 @@ def test_criterion_8_transport_equivalence_four_processes(tmp_path):
             transport = SocketTransport(
                 {role: ("127.0.0.1", port) for role, port in ports.items()}
             )
-            live = run_parsed(scn, transport)
-            transport.close()
+            try:
+                live = run_parsed(scn, transport)
+            finally:
+                transport.close()
         finally:
             for proc in procs:
                 proc.terminate()

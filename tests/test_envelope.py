@@ -7,6 +7,7 @@ import random
 import pytest
 
 from bandx.envelope import (
+    MAX_HEADER_LINE,
     MAX_PAYLOAD,
     Envelope,
     ProtocolError,
@@ -103,3 +104,26 @@ def test_stream_reader_refuses_lengths_out_of_range(length):
     stream = NoRead(f"BANDX1 A s 1\n{length}\n".encode("ascii"))
     with pytest.raises(ProtocolError, match="payload length"):
         read_envelope(stream)
+
+
+@pytest.mark.parametrize("prefix", [b"", b"BANDX1 A s 1\n"], ids=["header", "length"])
+def test_stream_reader_refuses_an_endless_line_without_reading_it(prefix):
+    import io
+
+    stream = io.BytesIO(prefix + b"7" * (1 << 20))  # 1 MiB, no newline
+    with pytest.raises(ProtocolError, match="longer than"):
+        read_envelope(stream)
+    assert stream.tell() == len(prefix) + MAX_HEADER_LINE
+
+
+def test_stream_reader_accepts_a_header_line_at_the_limit():
+    import io
+
+    head = b"BANDX1 A s 1\n"
+    env = Envelope("A", "s" * (MAX_HEADER_LINE - len(head) + 1), 1, {"k": "v"}, {})
+    data = encode(env)
+    assert data.index(b"\n") + 1 == MAX_HEADER_LINE
+    assert read_envelope(io.BytesIO(data)) == env
+    longer = Envelope("A", env.sender + "s", 1, {"k": "v"}, {})
+    with pytest.raises(ProtocolError, match="longer than"):
+        read_envelope(io.BytesIO(encode(longer)))

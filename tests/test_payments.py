@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import accumulate
 
 import pytest
 
@@ -33,6 +34,10 @@ from bandx.settlement import (
     REASON_UNKNOWN_GUARANTOR,
     SettlementCenter,
     TransactionRecord,
+    decode_journal,
+    decode_record,
+    encode_journal_entry,
+    encode_record,
 )
 
 from conftest import make_chain
@@ -339,6 +344,17 @@ def test_replay_verifies_every_signature_anew(chain, monkeypatch):
     assert len(calls) == 3 and set(calls) == signers
 
 
+def test_replay_of_a_record_decoded_twice_verifies_every_signature(chain, monkeypatch):
+    csc = SettlementCenter([chain.guarantor.public_id])
+    data = encode_record(_fixture_record(chain))
+    first, second = decode_record(data), decode_record(data)
+    assert second.offer is first.offer  # the second decode came from the parse memo
+    csc.deposit_batch([first])
+    calls = counting_scheme_verify(monkeypatch)
+    assert csc.dispute_replay(second) is True
+    assert len(calls) == 3
+
+
 def test_replay_tampered_record_is_false(chain):
     csc = SettlementCenter([chain.guarantor.public_id])
     tampered = replace(_fixture_record(chain), microcheck=parse_credential(
@@ -390,3 +406,48 @@ def test_journal_tolerates_torn_tail(chain, tmp_path):
     reborn = SettlementCenter([chain.guarantor.public_id], journal_path=journal)
     assert reborn.balances() == csc.balances()
     assert len(list(reborn.entries())) == 1
+
+
+def test_each_record_is_journaled_before_its_effects_count(tmp_path, monkeypatch):
+    world = settlement_world(random.Random(72))
+    records = [world.random_record() for _ in range(3)]
+    journal = tmp_path / "csc.journal"
+    csc = SettlementCenter([world.guarantor.public_id], journal_path=journal)
+    apply = SettlementCenter._apply
+    on_disk = []
+
+    def checked_apply(self, entry, date):
+        on_disk.append([e.record_id for e in decode_journal(journal.read_bytes())])
+        apply(self, entry, date)
+
+    monkeypatch.setattr(SettlementCenter, "_apply", checked_apply)
+    csc.deposit_batch(records)
+    assert on_disk == [[r.record_id() for r in records[: k + 1]] for k in range(3)]
+
+
+def test_journal_torn_at_every_offset_replays_whole_entries_only(tmp_path):
+    world = settlement_world(random.Random(71))
+    records = [world.random_record() for _ in range(3)]
+    guarantors = [world.guarantor.public_id]
+    journal = tmp_path / "csc.journal"
+    csc = SettlementCenter(guarantors, journal_path=journal)
+    csc.deposit_batch(records)
+    data = journal.read_bytes()
+    ends = list(accumulate(len(encode_journal_entry(e)) for e in csc.entries()))
+    assert ends[-1] == len(data)
+    expected = []
+    for k in range(len(records) + 1):
+        fed = SettlementCenter(guarantors)
+        fed.deposit_batch(records[:k])
+        expected.append(fed.balances())
+    assert len({tuple(sorted(b.items())) for b in expected}) == len(expected)
+
+    with journal.open("r+b") as fh:  # cut in place, longest tail first
+        for cut in range(len(data), -1, -1):
+            fh.truncate(cut)
+            fh.flush()
+            reborn = SettlementCenter(guarantors, journal_path=journal)
+            whole = sum(end <= cut for end in ends)
+            replayed = [e.record_id for e in reborn.entries()]
+            assert replayed == [r.record_id() for r in records[:whole]], cut
+            assert reborn.balances() == expected[whole], cut

@@ -1,15 +1,23 @@
-"""The regex scanner and the structural POLICY builders against the
-character-loop scanner and the text-built POLICY they replaced.
+"""The regex scanner, the structural POLICY builders and the parse memo
+against the character-loop scanner, the text-built POLICY and the fresh
+parse they replaced.
 
 `_reference_tokenize` and `_reference_strip_comment` are frozen copies of
 the earlier code; the scanner must agree with them token for token and
-error for error on any input.
+error for error on any input. `parse_credential` must return what
+`_parse_credential`, the parser without the memo, returns for the same
+text.
 """
 
 from __future__ import annotations
 
 import gc
 import re
+import sys
+import threading
+from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,15 +35,22 @@ from bandx.credentials import (
     Literal,
     PAnd,
     POr,
+    UnknownVersion,
+    _parse_credential,
     _strip_comment,
     _tokenize,
     build_credential,
     canonical_bytes,
     parse_credential,
     render_credential,
+    sign_credential,
 )
+from bandx import credentials
+from bandx.envelope import decode
 from bandx.keys import POLICY, generate_keypair
 from bandx.payments import build_keepalive_policy, build_merchant_policy
+
+from conftest import make_chain
 
 # ---------------------------------------------------------------------------
 # Frozen reference: the character-loop scanner
@@ -274,3 +289,136 @@ def test_parsing_leaves_no_cyclic_garbage(chain):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Parse memo against a fresh parse
+# ---------------------------------------------------------------------------
+
+def _bundled_texts() -> list[str]:
+    """Every credential block of the golden Rome-Dublin transcript, plus
+    the conformance chain."""
+    data = (Path(__file__).parent.parent / "scenarios" / "rome-dublin.golden.transcript").read_bytes()
+    texts = set()
+    while data:
+        env, data = decode(data)
+        for block in env.blocks.values():
+            if block.startswith(b"Keynote-Version"):
+                texts.add(block.decode("utf-8"))
+    chain = make_chain()
+    texts.update(c.text() for c in (chain.cwc, chain.offer, chain.check, chain.policy))
+    return sorted(texts)
+
+
+_BUNDLED = _bundled_texts()
+
+
+def _parse_outcome(parse, text: str, unchecked: bool) -> tuple:
+    """What a parse returns, or the error it raises, in comparable form."""
+    try:
+        cred = parse(text, unchecked)
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "position", None),
+                getattr(exc, "expected", None))
+    return cred, canonical_bytes(cred), cred.source_text, cred.unchecked
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(_CREDENTIALS.map(render_credential), st.sampled_from(_BUNDLED)),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(min_value=0)),
+)
+def test_parse_memo_matches_a_fresh_parse(text, unchecked, cut):
+    if cut is not None:  # drop one character: mostly malformed text
+        cut %= len(text)
+        text = text[:cut] + text[cut + 1:]
+    fresh = _parse_outcome(_parse_credential, text, unchecked)
+    assert _parse_outcome(parse_credential, text, unchecked) == fresh
+    assert _parse_outcome(parse_credential, text, unchecked) == fresh  # a success is now a hit
+    if isinstance(fresh[0], Credential):
+        assert (text, unchecked) in credentials._parsed
+
+
+@pytest.mark.parametrize("text, error", [
+    ('Keynote-Version: 2\nAuthorizer: POLICY\nLicensees:\nConditions: a == "b" c;\n',
+     CredentialSyntaxError),
+    ("Keynote-Version: 3\nAuthorizer: POLICY\nLicensees:\n", UnknownVersion),
+])
+def test_malformed_text_fails_alike_every_time_and_is_not_kept(monkeypatch, text, error):
+    monkeypatch.setattr(credentials, "_parsed", {})
+    raised = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            parse_credential(text)
+        exc = info.value
+        raised.append((str(exc), getattr(exc, "position", None), getattr(exc, "expected", None)))
+    assert raised[0] == raised[1]
+    assert credentials._parsed == {}
+
+
+def test_unchecked_flag_is_part_of_the_memo_key(monkeypatch):
+    monkeypatch.setattr(credentials, "_parsed", {})
+    text = make_chain().cwc.text()
+    checked, unchecked = parse_credential(text), parse_credential(text, unchecked=True)
+    assert checked.unchecked is False and unchecked.unchecked is True
+    assert checked == unchecked
+    assert parse_credential(text) is checked
+    assert parse_credential(text, unchecked=True) is unchecked
+
+
+def test_parse_memo_keeps_the_newest_entries_up_to_its_bound(monkeypatch):
+    monkeypatch.setattr(credentials, "_parsed", {})
+    bound = credentials._PARSE_MEMO_SIZE
+    texts = [
+        f'Keynote-Version: 2\nAuthorizer: POLICY\nLicensees:\nConditions: n == "{i}";\n'
+        for i in range(bound + 40)
+    ]
+    for text in texts:
+        parse_credential(text)
+        assert len(credentials._parsed) <= bound
+    assert list(credentials._parsed) == [(t, False) for t in texts[-bound:]]
+
+
+def test_parse_memo_stays_bounded_and_exact_under_threads(monkeypatch):
+    pair = generate_keypair("parse-memo:threads")
+    signed = [
+        sign_credential(build_credential(pair.public_id, "", f'n == "{i}";'), pair).text()
+        for i in range(8)
+    ]
+    texts = signed + [  # cheap to parse, so threads often meet in the memo
+        f'Keynote-Version: 2\nAuthorizer: POLICY\nLicensees:\nConditions: n == "{i}";\n'
+        for i in range(40)
+    ]
+    expected = [_parse_outcome(_parse_credential, t, False) for t in texts]
+    broken = [t.replace("Licensees:", "Licensees: (") for t in texts]
+    monkeypatch.setattr(credentials, "_parsed", {})
+    monkeypatch.setattr(credentials, "_PARSE_MEMO_SIZE", 4)
+    wrong: list = []
+
+    def worker(offset: int) -> None:
+        for k in range(5 * len(texts)):
+            i = (k + offset) % len(texts)
+            try:
+                if _parse_outcome(parse_credential, texts[i], False) != expected[i]:
+                    wrong.append(i)
+                parse_credential(broken[i])
+                wrong.append(f"broken {i} parsed")
+            except CredentialSyntaxError:
+                pass
+            except Exception as exc:  # a lost update surfaces as a KeyError
+                wrong.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(7 * t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(credentials._parsed) <= 4
