@@ -179,7 +179,6 @@ class Credential:
     clauses: tuple | None  # tuple[Clause] or None when Conditions is absent/empty
     signature: tuple | None = None  # (sig-algorithm, base64)
     source_text: str | None = field(default=None, compare=False)
-    unchecked: bool = field(default=False, compare=False)
 
     @property
     def authorizer_key(self) -> PublicKeyId:
@@ -492,39 +491,32 @@ def _parse_clauses(stream: _TokenStream) -> tuple | None:
     return tuple(clauses)
 
 
-# Parsed credentials, keyed by (text, unchecked): the whole text, never a
-# digest of it, so no collision can hand back another credential. A
-# Credential is immutable and parsing is a pure function of the key, so
-# a remembered result equals a fresh parse. Failures are not kept. The
-# oldest entry goes first once the bound is hit.
+# Parsed credentials, keyed by the whole text, never by a digest of it,
+# so no collision can hand back another credential. A Credential is
+# immutable and parsing is a pure function of the text, so a remembered
+# result equals a fresh parse. Failures are not kept. The oldest entry
+# goes first once the bound is hit.
 _PARSE_MEMO_SIZE = 256
-_parsed: dict[tuple[str, bool], Credential] = {}
+_parsed: dict[str, Credential] = {}
 _parsed_lock = threading.Lock()
 
 
-def parse_credential(text: str, unchecked: bool = False) -> Credential:
-    """Parse one credential block.
-
-    `unchecked` marks the credential as exempt from signature checking in
-    compliance queries; it exists for conformance fixtures whose published
-    keys are truncated and unverifiable. Production paths never set it.
-    A repeated text returns the credential parsed the first time (see
-    "Parse memo" in docs/formats.md).
-    """
-    key = (text, unchecked)
-    cred = _parsed.get(key)
+def parse_credential(text: str) -> Credential:
+    """Parse one credential block. A repeated text returns the credential
+    parsed the first time (see "Parse memo" in docs/formats.md)."""
+    cred = _parsed.get(text)
     if cred is not None:
         return cred
-    cred = _parse_credential(text, unchecked)
+    cred = _parse_credential(text)
     with _parsed_lock:
-        if key not in _parsed:
+        if text not in _parsed:
             if len(_parsed) >= _PARSE_MEMO_SIZE:
                 del _parsed[next(iter(_parsed))]
-            _parsed[key] = cred
+            _parsed[text] = cred
     return cred
 
 
-def _parse_credential(text: str, unchecked: bool) -> Credential:
+def _parse_credential(text: str) -> Credential:
     fields = _logical_fields(text)
     last = -1
     by_name: dict[str, tuple[str, int]] = {}
@@ -608,11 +600,10 @@ def _parse_credential(text: str, unchecked: bool) -> Credential:
         clauses=clauses,
         signature=signature,
         source_text=text,
-        unchecked=unchecked,
     )
 
 
-def parse_credential_blocks(text: str, unchecked: bool = False) -> list[Credential]:
+def parse_credential_blocks(text: str) -> list[Credential]:
     """Split newline-separated credential blocks on Keynote-Version headers."""
     blocks: list[list[str]] = []
     for raw in text.splitlines(keepends=True):
@@ -622,7 +613,7 @@ def parse_credential_blocks(text: str, unchecked: bool = False) -> list[Credenti
             blocks[-1].append(raw)
         elif _strip_comment(raw.rstrip("\n")).strip():
             raise CredentialSyntaxError("text before first credential block", 0)
-    return [parse_credential("".join(b), unchecked=unchecked) for b in blocks]
+    return [parse_credential("".join(b)) for b in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -911,17 +902,17 @@ def check_compliance(
     count, so cyclic delegation terminates and self-delegation
     contributes nothing.
 
-    Every non-POLICY credential must carry a valid signature, except
-    fixture credentials parsed in unchecked mode. `fresh` verifies every
-    signature anew instead of trusting remembered successes; dispute
-    replay uses it to stay an independent re-verification.
+    Every non-POLICY credential must carry a valid signature. `fresh`
+    verifies every signature anew instead of trusting remembered
+    successes; dispute replay uses it to stay an independent
+    re-verification.
     """
     if action is None:
         raise ValueError("compliance check requires an action attribute set")
     verify = _verify_signature_fresh if fresh else verify_signature
     pool = list(policy) + list(creds)
     for cred in pool:
-        if cred.authorizer == POLICY or cred.unchecked:
+        if cred.authorizer == POLICY:
             continue
         try:
             ok = verify(cred)

@@ -35,6 +35,11 @@ class ProtocolError(Exception):
     pass
 
 
+class FramingLost(ProtocolError):
+    """A framing error after which the stream holds bytes that no reader
+    can frame again: a server replies once and closes the connection."""
+
+
 @dataclass(frozen=True)
 class Envelope:
     msg_type: str
@@ -162,7 +167,7 @@ def decode(data: bytes) -> tuple[Envelope, bytes]:
 def _read_header_line(stream) -> bytes:
     line = stream.readline(MAX_HEADER_LINE)
     if len(line) == MAX_HEADER_LINE and not line.endswith(b"\n"):
-        raise ProtocolError(f"header line longer than {MAX_HEADER_LINE} bytes")
+        raise FramingLost(f"header line longer than {MAX_HEADER_LINE} bytes")
     return line
 
 
@@ -182,8 +187,10 @@ def read_envelope(stream) -> Envelope | None:
         length = int(length_line)
     except ValueError:
         raise ProtocolError("bad header numbers") from None
-    if not 0 <= length <= MAX_PAYLOAD:
+    if length < 0:
         raise ProtocolError(f"payload length {length} outside 0..{MAX_PAYLOAD}")
+    if length > MAX_PAYLOAD:
+        raise FramingLost(f"payload length {length} outside 0..{MAX_PAYLOAD}")
     payload = stream.read(length)
     if len(payload) != length:
         raise ProtocolError("eof inside payload")

@@ -7,6 +7,12 @@ outgoing directed links. Signature and compliance work is delegated to a
 policy decision point (PDP); the NE itself only does bookkeeping. Time
 is an injected simulation instant (epoch seconds), never the wall clock.
 
+Spot purchases and futures bookings pass one admission sequence:
+challenge, request signature, this provider's run of offers with one
+check each, the PDP's purchase check per pair, ingress, chaining and
+routing. Only the claim differs: a spot reservation is charged as active
+load from now, a booking is entered in the calendar for its interval.
+
 Capacity rule: for every link and every instant, the sum of active
 reservations plus committed future bookings overlapping that instant
 never exceeds capacity. Futures are charged at booking time, which is
@@ -150,18 +156,6 @@ def sign_reservation_request(
     )
 
 
-def _request_signature_valid(req: ReservationRequest) -> bool:
-    try:
-        key = PublicKeyId.from_text(req.customer_key)
-        scheme = scheme_for_key(key)
-    except Exception:
-        return False
-    message = request_message(
-        req.challenge_id, req.offers, req.guarantor, req.checks, req.bandwidth_mbps
-    )
-    return scheme.verify(key, message, req.signature)
-
-
 # ---------------------------------------------------------------------------
 # Reservations
 # ---------------------------------------------------------------------------
@@ -253,7 +247,15 @@ class Pdp:
     app_domain: str = APP_DOMAIN
 
     def verify_request(self, req: ReservationRequest) -> bool:
-        return _request_signature_valid(req)
+        try:
+            key = PublicKeyId.from_text(req.customer_key)
+            scheme = scheme_for_key(key)
+        except Exception:
+            return False
+        message = request_message(
+            req.challenge_id, req.offers, req.guarantor, req.checks, req.bandwidth_mbps
+        )
+        return scheme.verify(key, message, req.signature)
 
     def open_reservation(self, cred: Credential) -> dict:
         return open_reservation_credential(cred)
@@ -481,8 +483,8 @@ class NetworkElement:
             self.active_load[neighbor] += res.bandwidth_mbps
             self.timelines[neighbor].add(res.start, res.end, res.bandwidth_mbps)
 
-    def _release_active(self, neighbor: str, res: Reservation) -> None:
-        row = self.active_rows[neighbor].pop(res.reservation_id, None)
+    def _release_active(self, neighbor: str, reservation_id: str) -> None:
+        row = self.active_rows[neighbor].pop(reservation_id, None)
         if row is not None and row.qos_class != QOS_PREMIUM:
             self.active_load[neighbor] -= row.bandwidth_mbps
             self.timelines[neighbor].drop(row.start, row.end, row.bandwidth_mbps)
@@ -506,7 +508,7 @@ class NetworkElement:
         link = self.links[neighbor]
         return link.capacity_mbps - self.active_load[neighbor]
 
-    # -- spot protocol --------------------------------------------------------
+    # -- admission: spot and futures ----------------------------------------
 
     def handle_spot_request(
         self, req: ReservationRequest, now: int
@@ -514,115 +516,18 @@ class NetworkElement:
         """Verify the challenge response, admit this provider's segments,
         and either finish (whole path inside this provider) or refer the
         customer to the next provider's ingress."""
-        self._consume_challenge(req.challenge_id, now)
-        if not self.pdp.verify_request(req):
-            raise PaymentRefused("request signature does not verify")
-
-        run, remaining = self._own_run(req.offers)
-        if len(req.checks) != len(run):
-            raise PaymentRefused(
-                f"expected one check per local offer ({len(run)}), got {len(req.checks)}"
-            )
-        date = date_of_instant(now)
-        verified: list[tuple[Offer, object, Credential, Credential]] = []
-        for offer_cred, check_cred in zip(run, req.checks):
-            offer, check = self.pdp.check_purchase(
-                self.isp_key, offer_cred, req.guarantor, check_cred,
-                req.bandwidth_mbps, date,
-            )
-            verified.append((offer, check, offer_cred, check_cred))
-        if verified[0][0].link_from != self.location:
-            raise PaymentRefused(
-                f"path starts at {verified[0][0].link_from}, not at this ingress"
-            )
-        self._require_chained(verified)
-
-        segments: list[tuple[str, str, str]] = []
-        end = None
-        premium = all(o.qos_class == QOS_PREMIUM for o, _, _, _ in verified)
-        for offer, _, _, _ in verified:
-            segments.extend(self.fabric.route(self.isp_name, offer))
-            expiry_instant = instant_from_text(offer.valid_until)
-            end = expiry_instant if end is None else min(end, expiry_instant)
-
-        res = Reservation(
-            reservation_id=f"res-{self.rng.getrandbits(64):016x}",
+        verified, segments, remaining = self._admit(req, now)
+        offers = [offer for offer, *_ in verified]
+        premium = all(o.qos_class == QOS_PREMIUM for o in offers)
+        res = self._establish(
+            req, verified, segments, now,
             state=ACTIVE,
-            isp_key=self.isp_key,
-            segments=tuple(segments),
-            bandwidth_mbps=req.bandwidth_mbps,
             start=now,
-            end=end,
-            customer_key=req.customer_key,
+            end=min(instant_from_text(o.valid_until) for o in offers),
             qos_class=QOS_PREMIUM if premium else "reserved",
             next_payment_due=(now + self.keepalive_period) if self.keepalive_period else None,
-            offer_credential=verified[0][2],
-            guarantor_credential=req.guarantor,
         )
-        self.propagate_path(res)
-        self.fabric.register(res)
-
-        for offer, check, offer_cred, check_cred in verified:
-            action = build_purchase_action(
-                offer, req.bandwidth_mbps, check.amount, check.nonce, date,
-                self.pdp.app_domain,
-            )
-            self.outbox.append(
-                TransactionRecord(
-                    offer=offer_cred,
-                    microcheck=check_cred,
-                    guarantor=req.guarantor,
-                    action=action,
-                    merchant_key=self.isp_key,
-                    received_at=date,
-                )
-            )
-
-        if remaining:
-            at = derive_offer_fields(remaining[0]).link_from
-            next_isp, next_ne = self.fabric.ingress(remaining[0].authorizer, at)
-            return BoundaryReferral(res, at, next_isp, next_ne, remaining)
-        return res
-
-    def _own_run(
-        self, offers: tuple[Credential, ...]
-    ) -> tuple[tuple[Credential, ...], tuple[Credential, ...]]:
-        if not offers:
-            raise PaymentRefused("request carries no offers")
-        i = 0
-        while i < len(offers) and offers[i].authorizer == self.isp_key:
-            i += 1
-        if i == 0:
-            raise PaymentRefused("no offers for this provider at the head of the path")
-        return offers[:i], offers[i:]
-
-    @staticmethod
-    def _require_chained(verified: list) -> None:
-        for (a, *_), (b, *_) in zip(verified, verified[1:]):
-            if a.link_to != b.link_from:
-                raise PaymentRefused(
-                    f"offers do not chain: {a.link_name} then {b.link_name}"
-                )
-
-    def propagate_path(self, res: Reservation) -> bool:
-        """Record the reservation on every segment NE, or none of them:
-        a failure at any interior NE rolls the earlier charges back."""
-        charged: list[tuple[NetworkElement, str]] = []
-        for from_ne, to_ne, _name in res.segments:
-            ne = self.fabric.ne(from_ne)
-            if res.qos_class != QOS_PREMIUM and not ne._can_carry(
-                to_ne, res.bandwidth_mbps, res.start, res.end
-            ):
-                for peer, neighbor in charged:
-                    peer._release_active(neighbor, res)
-                raise CapacityExhausted(
-                    f"link {from_ne}->{to_ne} cannot carry {res.bandwidth_mbps}Mbps"
-                )
-            ne._charge_active(to_ne, res)
-            charged.append((ne, to_ne))
-        return True
-
-    # -- futures ----------------------------------------------------------------
+        return self._referral(res, remaining)
 
     def book_future(
         self, req: ReservationRequest, interval: tuple[int, int], now: int
@@ -634,11 +539,30 @@ class NetworkElement:
             raise OutsideInterval("booking interval must start in the future")
         if end <= start:
             raise OutsideInterval("booking interval is empty")
+        verified, segments, remaining = self._admit(req, now)
+        res = self._establish(req, verified, segments, now, state=NOTIONAL, start=start, end=end)
+        credential = make_reservation_credential(self.isp, res, self.pdp.app_domain)
+        return self._referral(credential, remaining)
+
+    def _admit(
+        self, req: ReservationRequest, now: int
+    ) -> tuple[list[tuple[Offer, object, Credential, Credential]],
+               tuple[tuple[str, str, str], ...], tuple[Credential, ...]]:
+        """Every check a purchase passes before any capacity is claimed,
+        in the order the module docstring gives. Returns the verified
+        (offer, check, offer credential, check credential) rows, the
+        routed segments and the offers left for later providers."""
         self._consume_challenge(req.challenge_id, now)
         if not self.pdp.verify_request(req):
             raise PaymentRefused("request signature does not verify")
-
-        run, remaining = self._own_run(req.offers)
+        if not req.offers:
+            raise PaymentRefused("request carries no offers")
+        i = 0
+        while i < len(req.offers) and req.offers[i].authorizer == self.isp_key:
+            i += 1
+        if i == 0:
+            raise PaymentRefused("no offers for this provider at the head of the path")
+        run, remaining = req.offers[:i], req.offers[i:]
         if len(req.checks) != len(run):
             raise PaymentRefused(
                 f"expected one check per local offer ({len(run)}), got {len(req.checks)}"
@@ -655,27 +579,49 @@ class NetworkElement:
             raise PaymentRefused(
                 f"path starts at {verified[0][0].link_from}, not at this ingress"
             )
-        self._require_chained(verified)
+        for (a, *_), (b, *_) in zip(verified, verified[1:]):
+            if a.link_to != b.link_from:
+                raise PaymentRefused(
+                    f"offers do not chain: {a.link_name} then {b.link_name}"
+                )
+        segments = tuple(
+            segment for offer, *_ in verified
+            for segment in self.fabric.route(self.isp_name, offer)
+        )
+        return verified, segments, remaining
 
-        segments: list[tuple[str, str, str]] = []
-        for offer, _, _, _ in verified:
-            segments.extend(self.fabric.route(self.isp_name, offer))
-
+    def _establish(
+        self,
+        req: ReservationRequest,
+        verified: list[tuple[Offer, object, Credential, Credential]],
+        segments: tuple[tuple[str, str, str], ...],
+        now: int,
+        *,
+        state: str,
+        start: int,
+        end: int,
+        qos_class: str = "reserved",
+        next_payment_due: int | None = None,
+    ) -> Reservation:
+        """Claim capacity for an admitted request, register the
+        reservation, and queue one transaction record per paid offer."""
         res = Reservation(
             reservation_id=f"res-{self.rng.getrandbits(64):016x}",
-            state=NOTIONAL,
+            state=state,
             isp_key=self.isp_key,
-            segments=tuple(segments),
+            segments=segments,
             bandwidth_mbps=req.bandwidth_mbps,
             start=start,
             end=end,
             customer_key=req.customer_key,
+            qos_class=qos_class,
+            next_payment_due=next_payment_due,
             offer_credential=verified[0][2],
             guarantor_credential=req.guarantor,
         )
-        self._commit_booking(res)
+        self._claim(res)
         self.fabric.register(res)
-
+        date = date_of_instant(now)
         for offer, check, offer_cred, check_cred in verified:
             action = build_purchase_action(
                 offer, req.bandwidth_mbps, check.amount, check.nonce, date,
@@ -691,26 +637,48 @@ class NetworkElement:
                     received_at=date,
                 )
             )
+        return res
 
-        credential = make_reservation_credential(self.isp, res, self.pdp.app_domain)
-        if remaining:
-            at = derive_offer_fields(remaining[0]).link_from
-            next_isp, next_ne = self.fabric.ingress(remaining[0].authorizer, at)
-            return BoundaryReferral(credential, at, next_isp, next_ne, remaining)
-        return credential
+    def _referral(
+        self, outcome: Reservation | Credential, remaining: tuple[Credential, ...]
+    ) -> Reservation | Credential | BoundaryReferral:
+        """The outcome itself when the path ends inside this provider,
+        else a referral to the next provider's ingress."""
+        if not remaining:
+            return outcome
+        at = derive_offer_fields(remaining[0]).link_from
+        next_isp, next_ne = self.fabric.ingress(remaining[0].authorizer, at)
+        return BoundaryReferral(outcome, at, next_isp, next_ne, remaining)
 
-    def _commit_booking(self, res: Reservation) -> None:
-        committed: list[tuple[NetworkElement, str]] = []
+    def _claim(self, res: Reservation) -> None:
+        """Charge an ACTIVE reservation, or book a NOTIONAL one, on every
+        segment NE or on none of them: the first link that cannot carry
+        it releases what the earlier segments took."""
+        booking = res.state == NOTIONAL
         for from_ne, to_ne, _name in res.segments:
             ne = self.fabric.ne(from_ne)
-            if not ne._can_carry(to_ne, res.bandwidth_mbps, res.start, res.end):
-                for peer, neighbor in committed:
-                    peer._unbook(neighbor, res.reservation_id)
+            if (booking or res.qos_class != QOS_PREMIUM) and not ne._can_carry(
+                to_ne, res.bandwidth_mbps, res.start, res.end
+            ):
+                self._release(res)
+                if booking:
+                    raise CapacityExhausted(
+                        f"future interval oversubscribed on {from_ne}->{to_ne}"
+                    )
                 raise CapacityExhausted(
-                    f"future interval oversubscribed on {from_ne}->{to_ne}"
+                    f"link {from_ne}->{to_ne} cannot carry {res.bandwidth_mbps}Mbps"
                 )
-            ne._book(to_ne, res)
-            committed.append((ne, to_ne))
+            (ne._book if booking else ne._charge_active)(to_ne, res)
+
+    def _release(self, res: Reservation) -> None:
+        """Give back the reservation's charge (ACTIVE) or booking
+        (NOTIONAL) on every segment NE; a segment that holds none of it
+        is left as it is."""
+        release = (
+            NetworkElement._unbook if res.state == NOTIONAL else NetworkElement._release_active
+        )
+        for from_ne, to_ne, _name in res.segments:
+            release(self.fabric.ne(from_ne), to_ne, res.reservation_id)
 
     def activate_reservation(self, cred: Credential, now: int) -> Reservation:
         """Install the booked path. A committed booking activates
@@ -797,8 +765,7 @@ class NetworkElement:
         return count
 
     def _teardown(self, res: Reservation, new_state: str) -> None:
-        for from_ne, to_ne, _name in res.segments:
-            self.fabric.ne(from_ne)._release_active(to_ne, res)
+        self._release(res)
         res.state = new_state
 
     def teardown(self, reservation_id: str, customer_key: str) -> bool:
@@ -806,15 +773,10 @@ class NetworkElement:
         res = self.fabric.reservations.get(reservation_id)
         if res is None or res.customer_key != customer_key or res.isp_key != self.isp_key:
             raise UnknownReservation(reservation_id)
-        if res.state == ACTIVE:
-            self._teardown(res, EXPIRED)
-            return True
-        if res.state == NOTIONAL:
-            for from_ne, to_ne, _name in res.segments:
-                self.fabric.ne(from_ne)._unbook(to_ne, res.reservation_id)
-            res.state = EXPIRED
-            return True
-        return False
+        if res.state not in (ACTIVE, NOTIONAL):
+            return False
+        self._teardown(res, EXPIRED)
+        return True
 
 
 # ---------------------------------------------------------------------------

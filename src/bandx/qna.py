@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .credentials import BadSignature, Credential, parse_credential
@@ -216,6 +217,46 @@ class QnaSession:
             released.append({"isp_key": leg.isp_key, "reservation_id": leg.reservation_id})
         return released
 
+    def _walk_legs(self, msg_type: str, offers: list[Offer], bandwidth: int, now: int,
+                   extra_fields: dict[str, str],
+                   leg_of: Callable[[Envelope, str], LegHandle]) -> list[LegHandle]:
+        """Negotiate the plan provider by provider from the first
+        ingress, following boundary referrals. `leg_of(reply, ne_id)`
+        turns each provider's reply into its leg; a refusal after the
+        first leg releases the earlier ones (PartialEstablishment)."""
+        runs = self._provider_runs(offers)
+        legs: list[LegHandle] = []
+        ne_id = self._ingress(runs[0][0].isp_key, runs[0][0].link_from)
+        for i, run in enumerate(runs):
+            remaining = [o for r in runs[i + 1 :] for o in r]
+            try:
+                reply = self._negotiate_leg(
+                    msg_type, ne_id, run, remaining, bandwidth, now, extra_fields
+                )
+            except Exception as exc:
+                if legs:
+                    raise PartialEstablishment(self._rollback(legs), exc) from exc
+                raise
+            legs.append(leg_of(reply, ne_id))
+            if reply.msg_type == "BOUNDARY-REFERRAL":
+                ne_id = reply.require("next_ne_id")
+            elif remaining:
+                raise ProtocolError("provider finished early with offers remaining")
+        return legs
+
+    @staticmethod
+    def _leg(reply: Envelope, ne_id: str) -> LegHandle:
+        """The leg a RESERVED, BOUNDARY-REFERRAL or ACTIVATED reply names."""
+        return LegHandle(
+            reservation_id=reply.require("reservation_id"),
+            isp_key=reply.require("isp_key"),
+            ne_id=ne_id,
+            state=reply.require("state"),
+            links=tuple(reply.require("links").split(",")),
+            start=int(reply.require("start")),
+            end=int(reply.require("end")),
+        )
+
     # -- spot -----------------------------------------------------------------
 
     def purchase_spot(self, link_from: str, link_to: str, bandwidth: int, now: int,
@@ -224,34 +265,7 @@ class QnaSession:
         offers, total = self._collect_plan(
             link_from, link_to, bandwidth, date_of_instant(now), currency
         )
-        runs = self._provider_runs(offers)
-        legs: list[LegHandle] = []
-        ne_id = self._ingress(runs[0][0].isp_key, runs[0][0].link_from)
-        for i, run in enumerate(runs):
-            remaining = [o for r in runs[i + 1 :] for o in r]
-            try:
-                reply = self._negotiate_leg(
-                    "RESERVE-SPOT", ne_id, run, remaining, bandwidth, now, {}
-                )
-            except Exception as exc:
-                if legs:
-                    raise PartialEstablishment(self._rollback(legs), exc) from exc
-                raise
-            legs.append(
-                LegHandle(
-                    reservation_id=reply.require("reservation_id"),
-                    isp_key=reply.require("isp_key"),
-                    ne_id=ne_id,
-                    state=reply.require("state"),
-                    links=tuple(reply.require("links").split(",")),
-                    start=int(reply.require("start")),
-                    end=int(reply.require("end")),
-                )
-            )
-            if reply.msg_type == "BOUNDARY-REFERRAL":
-                ne_id = reply.require("next_ne_id")
-            elif remaining:
-                raise ProtocolError("provider finished early with offers remaining")
+        legs = self._walk_legs("RESERVE-SPOT", offers, bandwidth, now, {}, self._leg)
         return PurchaseHandle(tuple(legs), bandwidth, total)
 
     # -- futures ----------------------------------------------------------------
@@ -264,40 +278,18 @@ class QnaSession:
         offers, _ = self._collect_plan(
             link_from, link_to, bandwidth, date_of_instant(now), currency
         )
-        runs = self._provider_runs(offers)
         creds: list[Credential] = []
-        booked: list[LegHandle] = []
-        ne_id = self._ingress(runs[0][0].isp_key, runs[0][0].link_from)
-        extra = {"start": str(interval[0]), "end": str(interval[1])}
-        for i, run in enumerate(runs):
-            remaining = [o for r in runs[i + 1 :] for o in r]
-            try:
-                reply = self._negotiate_leg(
-                    "BOOK-FUTURE", ne_id, run, remaining, bandwidth, now, extra
-                )
-            except Exception as exc:
-                if booked:
-                    raise PartialEstablishment(self._rollback(booked), exc) from exc
-                raise
+
+        def booked(reply: Envelope, ne_id: str) -> LegHandle:
             cred = parse_credential(reply.block("credential").decode("utf-8"))
             fields = open_reservation_credential(cred)
             creds.append(cred)
             self.booking_ne[fields["reservation_id"]] = ne_id
-            booked.append(
-                LegHandle(
-                    reservation_id=fields["reservation_id"],
-                    isp_key=fields["isp_key"],
-                    ne_id=ne_id,
-                    state="notional",
-                    links=fields["link_names"],
-                    start=fields["start"],
-                    end=fields["end"],
-                )
-            )
-            if reply.msg_type == "BOUNDARY-REFERRAL":
-                ne_id = reply.require("next_ne_id")
-            elif remaining:
-                raise ProtocolError("provider finished early with offers remaining")
+            return LegHandle(fields["reservation_id"], fields["isp_key"], ne_id, "notional",
+                             fields["link_names"], fields["start"], fields["end"])
+
+        extra = {"start": str(interval[0]), "end": str(interval[1])}
+        self._walk_legs("BOOK-FUTURE", offers, bandwidth, now, extra, booked)
         return creds
 
     def activate(self, creds: list[Credential], now: int) -> PurchaseHandle:
@@ -319,17 +311,7 @@ class QnaSession:
                 )
             )
             bandwidth = int(reply.require("bandwidth"))
-            legs.append(
-                LegHandle(
-                    reservation_id=reply.require("reservation_id"),
-                    isp_key=reply.require("isp_key"),
-                    ne_id=ne_id,
-                    state=reply.require("state"),
-                    links=tuple(reply.require("links").split(",")),
-                    start=int(reply.require("start")),
-                    end=int(reply.require("end")),
-                )
-            )
+            legs.append(self._leg(reply, ne_id))
         return PurchaseHandle(tuple(legs), bandwidth or 0, Money(0))
 
     def keepalive(self, leg: LegHandle, price: Money, now: int) -> int:

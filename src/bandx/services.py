@@ -23,7 +23,7 @@ from .credentials import (
     UnverifiedCredential,
     parse_credential,
 )
-from .envelope import Envelope, ProtocolError, encode, read_envelope
+from .envelope import Envelope, FramingLost, ProtocolError, encode, read_envelope
 from .fabric import (
     BoundaryReferral,
     CapacityExhausted,
@@ -252,19 +252,21 @@ class IspService(ServiceCore):
             },
         )
 
+    @staticmethod
+    def _referral_fields(referral: BoundaryReferral) -> dict[str, str]:
+        return {
+            "referral": "yes",
+            "at": referral.at_location,
+            "next_isp_key": referral.next_isp_key,
+            "next_ne_id": referral.next_ne_id,
+            "remaining": str(len(referral.remaining_offers)),
+        }
+
     def do_reserve_spot(self, env: Envelope) -> Envelope:
         outcome = self._ne(env).handle_spot_request(self._request(env), self.clock)
         if isinstance(outcome, BoundaryReferral):
             fields = self._reservation_fields(outcome.outcome)
-            fields.update(
-                {
-                    "referral": "yes",
-                    "at": outcome.at_location,
-                    "next_isp_key": outcome.next_isp_key,
-                    "next_ne_id": outcome.next_ne_id,
-                    "remaining": str(len(outcome.remaining_offers)),
-                }
-            )
+            fields.update(self._referral_fields(outcome))
             return self._reply("BOUNDARY-REFERRAL", fields)
         return self._reply("RESERVED", self._reservation_fields(outcome))
 
@@ -272,17 +274,8 @@ class IspService(ServiceCore):
         interval = (int(env.require("start")), int(env.require("end")))
         outcome = self._ne(env).book_future(self._request(env), interval, self.clock)
         if isinstance(outcome, BoundaryReferral):
-            cred = outcome.outcome
-            fields = {
-                "referral": "yes",
-                "at": outcome.at_location,
-                "next_isp_key": outcome.next_isp_key,
-                "next_ne_id": outcome.next_ne_id,
-                "remaining": str(len(outcome.remaining_offers)),
-            }
-            return self._reply(
-                "BOUNDARY-REFERRAL", fields, {"credential": cred.text().encode("utf-8")}
-            )
+            credential = {"credential": outcome.outcome.text().encode("utf-8")}
+            return self._reply("BOUNDARY-REFERRAL", self._referral_fields(outcome), credential)
         return self._reply("BOOKED", {}, {"credential": outcome.text().encode("utf-8")})
 
     def do_activate(self, env: Envelope) -> Envelope:
@@ -522,6 +515,8 @@ class _EnvelopeHandler(socketserver.StreamRequestHandler):
             except ProtocolError as exc:
                 self.wfile.write(encode(core.protocol_error(str(exc))))
                 self.wfile.flush()
+                if isinstance(exc, FramingLost):
+                    return
                 continue
             except (ConnectionError, OSError):
                 return

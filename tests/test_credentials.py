@@ -78,7 +78,7 @@ Signature: "sig-rsa-sha1-base64:ab1XXA"
 # ---------------------------------------------------------------------------
 
 def test_parse_guarantor_credential_text():
-    cred = parse_credential(PAPER_CG, unchecked=True)
+    cred = parse_credential(PAPER_CG)
     assert cred.version == 2
     assert cred.authorizer == "rsa-base64:MIGJAo"
     assert cred.licensees == KeyLeaf("rsa-base64:MCgCIQ")
@@ -109,7 +109,7 @@ def test_unterminated_offer_expiry_is_a_syntax_error():
     # The broken `date < "20031120` literal stays broken; fixtures correct
     # it at the source, the parser does not.
     with pytest.raises(CredentialSyntaxError):
-        parse_credential(PAPER_OFFER_BROKEN, unchecked=True)
+        parse_credential(PAPER_OFFER_BROKEN)
 
 
 def test_syntax_error_carries_position_and_expectation():
@@ -150,8 +150,8 @@ def test_layout_changes_do_not_change_canonical_bytes():
         'Conditions: app_domain == "Band-X" &&',
         'Conditions:   # conditions follow\n\tapp_domain    ==    "Band-X" &&',
     )
-    a = parse_credential(PAPER_CG, unchecked=True)
-    b = parse_credential(reformatted, unchecked=True)
+    a = parse_credential(PAPER_CG)
+    b = parse_credential(reformatted)
     assert canonical_bytes(a) == canonical_bytes(b)
 
 
@@ -160,14 +160,14 @@ def test_constant_order_does_not_change_canonical_bytes():
         '\tALICE_KEY = "rsa-base64:MCgCIQ"\n\tCG_KEY = "rsa-base64:MIGJAo"',
         '\tCG_KEY = "rsa-base64:MIGJAo"\n\tALICE_KEY = "rsa-base64:MCgCIQ"',
     )
-    a = parse_credential(PAPER_CG, unchecked=True)
-    b = parse_credential(swapped, unchecked=True)
+    a = parse_credential(PAPER_CG)
+    b = parse_credential(swapped)
     assert canonical_bytes(a) == canonical_bytes(b)
 
 
 def test_literal_change_changes_canonical_bytes():
-    a = parse_credential(PAPER_CG, unchecked=True)
-    b = parse_credential(PAPER_CG.replace("5.01", "5.02"), unchecked=True)
+    a = parse_credential(PAPER_CG)
+    b = parse_credential(PAPER_CG.replace("5.01", "5.02"))
     assert canonical_bytes(a) != canonical_bytes(b)
     assert credential_id(a) != credential_id(b)
 
@@ -315,10 +315,16 @@ def test_memo_stays_bounded_and_exact_under_threads(monkeypatch):
         parse_credential(render_credential(c).replace(f'"{i}"', f'"x{i}"'))
         for i, c in enumerate(signed)
     ]
+    # A cheap deterministic stand-in for Ed25519 (only a tampered text holds
+    # '"x'): a real check takes so long that threads seldom meet inside the
+    # memo's evict-and-insert step, and a missing lock would go unseen.
+    monkeypatch.setattr(
+        credentials, "_signature_valid", lambda cred, message: b'"x' not in message
+    )
     wrong: list = []
 
     def worker(offset: int) -> None:
-        for k in range(len(signed)):
+        for k in range(50 * len(signed)):
             i = (k + offset) % len(signed)
             try:
                 if verify_signature(signed[i]) is not True or verify_signature(tampered[i]):
@@ -355,7 +361,7 @@ def test_policy_credential_verifies_without_signature():
 
 
 def test_unknown_signature_algorithm_raises():
-    cred = parse_credential(PAPER_CG, unchecked=True)
+    cred = parse_credential(PAPER_CG)
     with pytest.raises(UnsupportedAlgorithm):
         verify_signature(cred)
 
@@ -405,7 +411,7 @@ def test_single_bit_content_mutations_all_fail():
 # ---------------------------------------------------------------------------
 
 def test_guarantor_conditions_accept_in_range_action():
-    cred = parse_credential(PAPER_CG, unchecked=True)
+    cred = parse_credential(PAPER_CG)
     action = ActionAttributeSet.of(
         app_domain="Band-X", currency="USD", amount="4.25", date="20040320"
     )
@@ -413,7 +419,7 @@ def test_guarantor_conditions_accept_in_range_action():
 
 
 def test_amount_boundaries():
-    cred = parse_credential(PAPER_CG, unchecked=True)
+    cred = parse_credential(PAPER_CG)
     base = dict(app_domain="Band-X", currency="USD", date="20040320")
     assert eval_conditions(cred.clauses, ActionAttributeSet.of(amount="5.00", **base))
     assert not eval_conditions(cred.clauses, ActionAttributeSet.of(amount="5.01", **base))
@@ -434,7 +440,7 @@ def test_value_without_numeric_prefix_fails_numeric_compare():
 
 
 def test_missing_attribute_makes_comparison_false():
-    cred = parse_credential(PAPER_CG, unchecked=True)
+    cred = parse_credential(PAPER_CG)
     action = ActionAttributeSet.of(app_domain="Band-X", currency="USD")
     assert eval_conditions(cred.clauses, action) is False
 

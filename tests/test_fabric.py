@@ -452,3 +452,120 @@ def test_audit_reports_a_timeline_that_drifted_from_the_tables():
     assert capacity_violations(world.fabric) == [
         "A-Rome->A-Paris: load timeline differs from the tables (0 events, 2 expected)"
     ]
+
+
+# ---------------------------------------------------------------------------
+# One refusal table for both entry points
+# ---------------------------------------------------------------------------
+
+# Each maker builds a request the addressed NE must refuse; `submit` is
+# the entry point under test (a replay first redeems through it).
+
+def _spot(world, ne, req):
+    return ne.handle_spot_request(req, world.now)
+
+
+def _future(world, ne, req):
+    start = world.now + 3 * DAY
+    return ne.book_future(req, (start, start + HOUR), world.now)
+
+
+def _resigned(world, req, **changes):
+    """The request with some fields replaced, signed again by the customer."""
+    fields = {
+        name: getattr(req, name)
+        for name in ("challenge_id", "offers", "guarantor", "checks", "bandwidth_mbps")
+    }
+    return sign_reservation_request(world.customer, **{**fields, **changes})
+
+
+def _replayed(world, ne, submit):
+    req = spot_request(world, ne, [_offer_a(world, mbps=10, cents=60)], 10, world.now)
+    submit(world, ne, req)
+    return req
+
+
+def _forged(world, ne, submit):
+    from dataclasses import replace
+
+    return replace(spot_request(world, ne, [_offer_a(world)], 50, world.now), bandwidth_mbps=10)
+
+
+def _missing_check(world, ne, submit):
+    return _resigned(world, spot_request(world, ne, [_offer_a(world)], 50, world.now), checks=())
+
+
+def _extra_check(world, ne, submit):
+    req = spot_request(world, ne, [_offer_a(world)], 50, world.now)
+    return _resigned(world, req, checks=req.checks * 2)
+
+
+def _foreign_head(world, ne, submit):
+    return spot_request(world, ne, [_offer_b(world), _offer_a(world)], 50, world.now)
+
+
+def _elsewhere(world, ne, submit):
+    return spot_request(world, ne, [_offer_a(world, link="Milan-Paris")], 50, world.now)
+
+
+def _unchained(world, ne, submit):
+    offers = [_offer_a(world), _offer_a(world, link="Milan-Paris")]
+    return spot_request(world, ne, offers, 50, world.now)
+
+
+def _fill(world, segment, mbps):
+    from_ne, to_ne, _name = segment
+    filler = Reservation(
+        reservation_id="res-filler", state=ACTIVE, isp_key="x", segments=(segment,),
+        bandwidth_mbps=mbps, start=world.now, end=world.now + 30 * DAY, customer_key="k",
+    )
+    world.fabric.ne(from_ne)._charge_active(to_ne, filler)
+
+
+def _full_link(world, ne, submit):
+    _fill(world, ("A-Rome", "A-Paris", "Rome-Paris"), 100)
+    return spot_request(world, ne, [_offer_a(world)], 50, world.now)
+
+
+def _full_second_hop(world, ne, submit):
+    """The first hop is claimed, then rolled back."""
+    _fill(world, ("A-Milan", "A-Paris", "Milan-Paris"), 200)
+    offer = _offer_a(world, path_hint=("A-Rome", "A-Milan", "A-Paris"))
+    return spot_request(world, ne, [offer], 50, world.now)
+
+
+def _left_behind(fabric):
+    return (
+        sorted(fabric.reservations),
+        {ne_id: list(ne.outbox) for ne_id, ne in fabric.nes.items()},
+        {(ne_id, n): list(t.events) for ne_id, ne in fabric.nes.items()
+         for n, t in ne.timelines.items()},
+    )
+
+
+REFUSALS = [
+    (_replayed, ReplayedChallenge, "already redeemed"),
+    (_forged, PaymentRefused, "signature does not verify"),
+    (_missing_check, PaymentRefused, r"one check per local offer \(1\), got 0"),
+    (_extra_check, PaymentRefused, r"one check per local offer \(1\), got 2"),
+    (_foreign_head, PaymentRefused, "no offers for this provider"),
+    (_elsewhere, PaymentRefused, "not at this ingress"),
+    (_unchained, PaymentRefused, "do not chain"),
+    (_full_link, CapacityExhausted, "A-Rome->A-Paris"),
+    (_full_second_hop, CapacityExhausted, "A-Milan->A-Paris"),
+]
+
+
+@pytest.mark.parametrize("submit", [_spot, _future], ids=["spot", "future"])
+@pytest.mark.parametrize(
+    "make, refusal, cause", REFUSALS, ids=[make.__name__.lstrip("_") for make, *_ in REFUSALS]
+)
+def test_spot_and_futures_refuse_alike_and_leave_nothing_behind(submit, make, refusal, cause):
+    world = two_isp_world()
+    ne = world.fabric.ne("A-Rome")
+    req = make(world, ne, submit)
+    before = _left_behind(world.fabric)
+    with pytest.raises(refusal, match=cause):
+        submit(world, ne, req)
+    assert _left_behind(world.fabric) == before
+    assert capacity_violations(world.fabric) == []

@@ -313,31 +313,30 @@ def _bundled_texts() -> list[str]:
 _BUNDLED = _bundled_texts()
 
 
-def _parse_outcome(parse, text: str, unchecked: bool) -> tuple:
+def _parse_outcome(parse, text: str) -> tuple:
     """What a parse returns, or the error it raises, in comparable form."""
     try:
-        cred = parse(text, unchecked)
+        cred = parse(text)
     except Exception as exc:
         return (type(exc), str(exc), getattr(exc, "position", None),
                 getattr(exc, "expected", None))
-    return cred, canonical_bytes(cred), cred.source_text, cred.unchecked
+    return cred, canonical_bytes(cred), cred.source_text
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     st.one_of(_CREDENTIALS.map(render_credential), st.sampled_from(_BUNDLED)),
-    st.booleans(),
     st.one_of(st.none(), st.integers(min_value=0)),
 )
-def test_parse_memo_matches_a_fresh_parse(text, unchecked, cut):
+def test_parse_memo_matches_a_fresh_parse(text, cut):
     if cut is not None:  # drop one character: mostly malformed text
         cut %= len(text)
         text = text[:cut] + text[cut + 1:]
-    fresh = _parse_outcome(_parse_credential, text, unchecked)
-    assert _parse_outcome(parse_credential, text, unchecked) == fresh
-    assert _parse_outcome(parse_credential, text, unchecked) == fresh  # a success is now a hit
+    fresh = _parse_outcome(_parse_credential, text)
+    assert _parse_outcome(parse_credential, text) == fresh
+    assert _parse_outcome(parse_credential, text) == fresh  # a success is now a hit
     if isinstance(fresh[0], Credential):
-        assert (text, unchecked) in credentials._parsed
+        assert text in credentials._parsed
 
 
 @pytest.mark.parametrize("text, error", [
@@ -357,16 +356,6 @@ def test_malformed_text_fails_alike_every_time_and_is_not_kept(monkeypatch, text
     assert credentials._parsed == {}
 
 
-def test_unchecked_flag_is_part_of_the_memo_key(monkeypatch):
-    monkeypatch.setattr(credentials, "_parsed", {})
-    text = make_chain().cwc.text()
-    checked, unchecked = parse_credential(text), parse_credential(text, unchecked=True)
-    assert checked.unchecked is False and unchecked.unchecked is True
-    assert checked == unchecked
-    assert parse_credential(text) is checked
-    assert parse_credential(text, unchecked=True) is unchecked
-
-
 def test_parse_memo_keeps_the_newest_entries_up_to_its_bound(monkeypatch):
     monkeypatch.setattr(credentials, "_parsed", {})
     bound = credentials._PARSE_MEMO_SIZE
@@ -377,7 +366,7 @@ def test_parse_memo_keeps_the_newest_entries_up_to_its_bound(monkeypatch):
     for text in texts:
         parse_credential(text)
         assert len(credentials._parsed) <= bound
-    assert list(credentials._parsed) == [(t, False) for t in texts[-bound:]]
+    assert list(credentials._parsed) == texts[-bound:]
 
 
 def test_parse_memo_stays_bounded_and_exact_under_threads(monkeypatch):
@@ -390,7 +379,7 @@ def test_parse_memo_stays_bounded_and_exact_under_threads(monkeypatch):
         f'Keynote-Version: 2\nAuthorizer: POLICY\nLicensees:\nConditions: n == "{i}";\n'
         for i in range(40)
     ]
-    expected = [_parse_outcome(_parse_credential, t, False) for t in texts]
+    expected = [_parse_outcome(_parse_credential, t) for t in texts]
     broken = [t.replace("Licensees:", "Licensees: (") for t in texts]
     monkeypatch.setattr(credentials, "_parsed", {})
     monkeypatch.setattr(credentials, "_PARSE_MEMO_SIZE", 4)
@@ -400,7 +389,7 @@ def test_parse_memo_stays_bounded_and_exact_under_threads(monkeypatch):
         for k in range(5 * len(texts)):
             i = (k + offset) % len(texts)
             try:
-                if _parse_outcome(parse_credential, texts[i], False) != expected[i]:
+                if _parse_outcome(parse_credential, texts[i]) != expected[i]:
                     wrong.append(i)
                 parse_credential(broken[i])
                 wrong.append(f"broken {i} parsed")

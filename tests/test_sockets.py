@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bandx.envelope import Envelope, ProtocolError, decode, encode, read_envelope
+from bandx.envelope import MAX_PAYLOAD, Envelope, ProtocolError, decode, encode, read_envelope
 from bandx.scenario import build_services, parse_scenario, run_parsed
 from bandx.services import SocketTransport, serve
 
@@ -88,6 +88,41 @@ def test_negative_payload_length_gets_an_error_not_a_hang(live_world):
     assert reply.msg_type == "CH-REPORT"
     rfile.close()
     conn.close()
+
+
+def _replies_until_eof(endpoint, data: bytes) -> list[Envelope]:
+    """Send `data` and end the write side, reading replies meanwhile: a
+    server that closes early may leave the sender unable to finish."""
+    conn = socket.create_connection(endpoint, timeout=10)
+
+    def send() -> None:
+        try:
+            conn.sendall(data)
+            conn.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+
+    sender = threading.Thread(target=send)
+    sender.start()
+    replies = []
+    with conn, conn.makefile("rb") as rfile:
+        while (reply := read_envelope(rfile)) is not None:
+            replies.append(reply)
+        sender.join(10)
+    assert not sender.is_alive()
+    return replies
+
+
+@pytest.mark.parametrize("data, detail", [
+    (b"x" * 2 ** 20, "longer than"),
+    (f"BANDX1 REPORT probe 1\n{MAX_PAYLOAD + 1}\n".encode() + b"k=v\n" * 2 ** 14,
+     "payload length"),
+], ids=["long-line", "over-limit-length"])
+def test_framing_lost_gets_one_error_then_the_connection_closes(live_world, data, detail):
+    _scn, _services, endpoints = live_world
+    replies = _replies_until_eof(endpoints["csc"], data)
+    assert [(r.msg_type, r.get("code")) for r in replies] == [("ERROR", "protocol")]
+    assert detail in replies[0].get("detail")
 
 
 def test_unknown_message_type_over_socket(live_world):

@@ -81,7 +81,7 @@ class _Model:
     def book(self):
         res = self._reservation(NOTIONAL, (LINK,), self.data.draw(MBPS), *self._interval())
         try:
-            self.ne._commit_booking(res)
+            self.ne._claim(res)
         except CapacityExhausted:
             return
         self.fabric.register(res)
@@ -91,7 +91,7 @@ class _Model:
         end = self.now + TICK * self.data.draw(st.integers(1, 8))
         res = self._reservation(ACTIVE, (LINK,), self.data.draw(MBPS), self.now, end, qos)
         try:
-            self.ne.propagate_path(res)
+            self.ne._claim(res)
         except CapacityExhausted:
             return
         self.fabric.register(res)
@@ -106,12 +106,10 @@ class _Model:
         before = {n: list(t.events) for n, t in self.ne.timelines.items()}
         if self.data.draw(st.booleans()):
             res = self._reservation(NOTIONAL, (LINK, BLOCKED), 10, *self._interval())
-            commit = self.ne._commit_booking
         else:
             res = self._reservation(ACTIVE, (LINK, BLOCKED), 10, self.now, self.now + 30)
-            commit = self.ne.propagate_path
         try:
-            commit(res)
+            self.ne._claim(res)
         except CapacityExhausted:
             pass
         else:
