@@ -73,10 +73,6 @@ def _load_key(path: str):
     return import_private(Path(path).read_text(encoding="utf-8"))
 
 
-def _sync_clock(transport: SocketTransport, now: int) -> None:
-    transport.broadcast_clock(now)
-
-
 def cmd_keygen(args) -> int:
     pair = generate_keypair(args.seed)
     if args.out:
@@ -98,7 +94,7 @@ def cmd_post_offer(args) -> int:
         path_hint=tuple(args.hint.split(",")) if args.hint else (),
     )
     transport = SocketTransport(_endpoints(args), sender="cli")
-    _sync_clock(transport, _now(args))
+    transport.broadcast_clock(_now(args))
     reply = raise_for_error(
         transport.send("ch", "POST-OFFER", {}, {"offer": cred.text().encode("utf-8")})
     )
@@ -108,7 +104,7 @@ def cmd_post_offer(args) -> int:
 
 def cmd_search(args) -> int:
     transport = SocketTransport(_endpoints(args), sender="cli")
-    _sync_clock(transport, _now(args))
+    transport.broadcast_clock(_now(args))
     reply = raise_for_error(
         transport.send(
             "ch",
@@ -138,7 +134,7 @@ def _session(args) -> tuple[QnaSession, SocketTransport, int]:
     cwc = parse_credential_blocks(Path(args.cwc).read_text(encoding="utf-8"))[0]
     transport = SocketTransport(_endpoints(args), sender="qna")
     now = _now(args)
-    _sync_clock(transport, now)
+    transport.broadcast_clock(now)
     return QnaSession(pair, Wallet(pair, cwc), transport), transport, now
 
 
@@ -183,7 +179,7 @@ def cmd_activate(args) -> int:
 
 def cmd_deposit(args) -> int:
     transport = SocketTransport(_endpoints(args), sender="cli")
-    _sync_clock(transport, _now(args))
+    transport.broadcast_clock(_now(args))
     fields = {"isp": args.isp_name} if args.isp_name else {}
     records = raise_for_error(transport.send("isp", "FLUSH-RECORDS", fields))
     reply = raise_for_error(

@@ -772,7 +772,7 @@ def verify_signature(cred: Credential) -> bool:
     return True
 
 
-def _verify_signature_fresh(cred: Credential) -> bool:
+def verify_signature_fresh(cred: Credential) -> bool:
     """verify_signature without the memo: always runs the scheme."""
     if cred.authorizer == POLICY:
         return True
@@ -909,7 +909,7 @@ def check_compliance(
     """
     if action is None:
         raise ValueError("compliance check requires an action attribute set")
-    verify = _verify_signature_fresh if fresh else verify_signature
+    verify = verify_signature_fresh if fresh else verify_signature
     pool = list(policy) + list(creds)
     for cred in pool:
         if cred.authorizer == POLICY:

@@ -4,7 +4,10 @@ activation, capacity admission, and reservation lifetime management.
 
 Every NE is an independent state machine owning the capacity of its
 outgoing directed links. Signature and compliance work is delegated to a
-policy decision point (PDP); the NE itself only does bookkeeping. Time
+policy decision point (PDP); the NE itself only does bookkeeping. The
+PDP decides a payment with `payments.payment_verdict`, the decision the
+settlement center runs again on the deposited record, and the purchase
+action it builds for that decision is the one the record carries. Time
 is an injected simulation instant (epoch seconds), never the wall clock.
 
 Spot purchases and futures bookings pass one admission sequence:
@@ -35,9 +38,9 @@ from itertools import accumulate
 from operator import itemgetter
 
 from .credentials import (
+    ActionAttributeSet,
     BadSignature,
     Credential,
-    UnverifiedCredential,
     build_credential,
     canonical_bytes,
     sign_credential,
@@ -45,22 +48,14 @@ from .credentials import (
 )
 from .keys import KeyPair, PublicKeyId, scheme_for_key
 from .money import Money, date_of_instant, text_of_instant, instant_from_text
-from .offers import (
-    APP_DOMAIN,
-    MalformedOffer,
-    Offer,
-    QOS_PREMIUM,
-    derive_offer_fields,
-    validate_unbundling,
-)
+from .offers import APP_DOMAIN, MalformedOffer, Offer, QOS_PREMIUM, derive_offer_fields
 from .payments import (
+    REASON_UNBUNDLING,
+    _pins,
     build_keepalive_action,
-    build_keepalive_policy,
-    build_merchant_policy,
     build_purchase_action,
     open_microcheck,
-    verify_keepalive_payment,
-    verify_payment,
+    payment_verdict,
 )
 from .settlement import TransactionRecord
 
@@ -218,8 +213,6 @@ def open_reservation_credential(cred: Credential) -> dict:
     """Pinned reservation fields, or raise BadSignature / ValueError."""
     if not verify_signature(cred):
         raise BadSignature("reservation credential failed signature verification")
-    from .payments import _pins
-
     pins = _pins(cred)
     for required in ("reservation_id", "link_names", "starts", "ends"):
         if required not in pins:
@@ -240,8 +233,9 @@ def open_reservation_credential(cred: Credential) -> dict:
 @dataclass
 class Pdp:
     """Verification service the NEs defer to; never touches NE state.
-    NEs do no signature work themselves: challenge responses, purchase
-    credentials, and reservation credentials all verify here."""
+    NEs do no signature work themselves: challenge responses and
+    purchase credentials verify here, reservation credentials in
+    `open_reservation_credential`."""
 
     trusted_guarantors: list[str]
     app_domain: str = APP_DOMAIN
@@ -257,9 +251,6 @@ class Pdp:
         )
         return scheme.verify(key, message, req.signature)
 
-    def open_reservation(self, cred: Credential) -> dict:
-        return open_reservation_credential(cred)
-
     def check_purchase(
         self,
         isp_key: str,
@@ -268,43 +259,33 @@ class Pdp:
         check_cred: Credential,
         bandwidth_mbps: int,
         date: str,
-    ) -> tuple[Offer, object]:
-        """Full admission check for one (offer, check) pair. Raises
-        PaymentRefused or UnbundlingProhibited; returns derived views."""
-        if not verify_signature(offer_cred):
-            raise PaymentRefused("offer credential failed signature verification")
+    ) -> tuple[Offer, ActionAttributeSet]:
+        """Admission check for one (offer, check) pair of an offer run
+        issued by `isp_key`. Raises PaymentRefused or
+        UnbundlingProhibited; returns the derived offer and the purchase
+        action the transaction record carries."""
         try:
             offer = derive_offer_fields(offer_cred)
         except MalformedOffer as exc:
             raise PaymentRefused(f"malformed offer: {exc}") from exc
-        if offer.isp_key != isp_key:
-            raise PaymentRefused("offer was issued by a different provider")
         try:
             check = open_microcheck(check_cred)
         except ValueError as exc:
             raise PaymentRefused(f"malformed check: {exc}") from exc
-        if check.merchant_key != isp_key:
-            raise PaymentRefused("check is payable to a different provider")
-        if not validate_unbundling(offer, bandwidth_mbps):
-            raise UnbundlingProhibited(
-                f"offer sells {offer.bandwidth_mbps}Mbps whole; {bandwidth_mbps} refused"
-            )
-        floor = offer.prorated_price(bandwidth_mbps)
-        if check.amount.cents < floor.cents:
-            raise PaymentRefused(
-                f"check {check.amount} underpays pro-rated price {floor}"
-            )
         action = build_purchase_action(
             offer, bandwidth_mbps, check.amount, check.nonce, date, self.app_domain
         )
-        policy = build_merchant_policy(isp_key, self.trusted_guarantors, self.app_domain)
-        try:
-            ok = verify_payment(policy, guarantor, offer_cred, check_cred, action)
-        except UnverifiedCredential as exc:
-            raise PaymentRefused(str(exc)) from exc
-        if not ok:
-            raise PaymentRefused("compliance check refused the payment")
-        return offer, check
+        reason = payment_verdict(
+            offer, check, guarantor, action, isp_key, self.trusted_guarantors,
+            self.app_domain, fresh=False,
+        )
+        if reason == REASON_UNBUNDLING:
+            raise UnbundlingProhibited(
+                f"offer sells {offer.bandwidth_mbps}Mbps whole; {bandwidth_mbps} refused"
+            )
+        if reason is not None:
+            raise PaymentRefused(f"payment refused: {reason}")
+        return offer, action
 
     def check_keepalive(
         self,
@@ -313,24 +294,23 @@ class Pdp:
         check_cred: Credential,
         price: Money,
         date: str,
-    ):
+    ) -> ActionAttributeSet:
+        """Admission check for a keepalive check of at least `price`;
+        raises PaymentRefused, returns the keepalive action."""
         try:
             check = open_microcheck(check_cred)
         except ValueError as exc:
             raise PaymentRefused(f"malformed check: {exc}") from exc
-        if check.merchant_key != isp_key:
-            raise PaymentRefused("check is payable to a different provider")
         if check.amount.cents < price.cents or check.currency != price.currency:
             raise PaymentRefused(f"keepalive requires {price}, got {check.amount}")
         action = build_keepalive_action(check.amount, check.nonce, date, self.app_domain)
-        policy = build_keepalive_policy(self.trusted_guarantors, self.app_domain)
-        try:
-            ok = verify_keepalive_payment(policy, guarantor, check_cred, isp_key, action)
-        except UnverifiedCredential as exc:
-            raise PaymentRefused(str(exc)) from exc
-        if not ok:
-            raise PaymentRefused("compliance check refused the keepalive")
-        return check, action
+        reason = payment_verdict(
+            None, check, guarantor, action, isp_key, self.trusted_guarantors,
+            self.app_domain, fresh=False,
+        )
+        if reason is not None:
+            raise PaymentRefused(f"keepalive refused: {reason}")
+        return action
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +526,12 @@ class NetworkElement:
 
     def _admit(
         self, req: ReservationRequest, now: int
-    ) -> tuple[list[tuple[Offer, object, Credential, Credential]],
+    ) -> tuple[list[tuple[Offer, Credential, ActionAttributeSet]],
                tuple[tuple[str, str, str], ...], tuple[Credential, ...]]:
         """Every check a purchase passes before any capacity is claimed,
         in the order the module docstring gives. Returns the verified
-        (offer, check, offer credential, check credential) rows, the
-        routed segments and the offers left for later providers."""
+        (offer, check credential, purchase action) rows, the routed
+        segments and the offers left for later providers."""
         self._consume_challenge(req.challenge_id, now)
         if not self.pdp.verify_request(req):
             raise PaymentRefused("request signature does not verify")
@@ -570,11 +550,11 @@ class NetworkElement:
         date = date_of_instant(now)
         verified = []
         for offer_cred, check_cred in zip(run, req.checks):
-            offer, check = self.pdp.check_purchase(
+            offer, action = self.pdp.check_purchase(
                 self.isp_key, offer_cred, req.guarantor, check_cred,
                 req.bandwidth_mbps, date,
             )
-            verified.append((offer, check, offer_cred, check_cred))
+            verified.append((offer, check_cred, action))
         if verified[0][0].link_from != self.location:
             raise PaymentRefused(
                 f"path starts at {verified[0][0].link_from}, not at this ingress"
@@ -593,7 +573,7 @@ class NetworkElement:
     def _establish(
         self,
         req: ReservationRequest,
-        verified: list[tuple[Offer, object, Credential, Credential]],
+        verified: list[tuple[Offer, Credential, ActionAttributeSet]],
         segments: tuple[tuple[str, str, str], ...],
         now: int,
         *,
@@ -616,20 +596,16 @@ class NetworkElement:
             customer_key=req.customer_key,
             qos_class=qos_class,
             next_payment_due=next_payment_due,
-            offer_credential=verified[0][2],
+            offer_credential=verified[0][0].credential,
             guarantor_credential=req.guarantor,
         )
         self._claim(res)
         self.fabric.register(res)
         date = date_of_instant(now)
-        for offer, check, offer_cred, check_cred in verified:
-            action = build_purchase_action(
-                offer, req.bandwidth_mbps, check.amount, check.nonce, date,
-                self.pdp.app_domain,
-            )
+        for offer, check_cred, action in verified:
             self.outbox.append(
                 TransactionRecord(
-                    offer=offer_cred,
+                    offer=offer.credential,
                     microcheck=check_cred,
                     guarantor=req.guarantor,
                     action=action,
@@ -683,7 +659,7 @@ class NetworkElement:
     def activate_reservation(self, cred: Credential, now: int) -> Reservation:
         """Install the booked path. A committed booking activates
         unconditionally: its capacity was charged when it was booked."""
-        fields = self.pdp.open_reservation(cred)  # BadSignature on tamper
+        fields = open_reservation_credential(cred)  # BadSignature on tamper
         res = self.bookings.get(fields["reservation_id"])
         if res is None or fields["isp_key"] != self.isp_key:
             raise UnknownReservation(fields["reservation_id"])
@@ -715,7 +691,7 @@ class NetworkElement:
         if res.guarantor_credential is None:
             raise PaymentRefused("no guarantor credential on file")
         date = date_of_instant(now)
-        view, action = self.pdp.check_keepalive(
+        action = self.pdp.check_keepalive(
             self.isp_key, res.guarantor_credential, check, self.keepalive_price, date
         )
         res.next_payment_due += self.keepalive_period

@@ -9,6 +9,7 @@ Unix epoch (UTC).
 
 from __future__ import annotations
 
+import calendar
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -72,7 +73,13 @@ def prorated_cents(full_price_cents: int, purchased_mbps: int, offered_mbps: int
 
 
 def is_date(text: str) -> bool:
-    return bool(_DATE_RE.match(text))
+    """True iff `text` is YYYYMMDD naming a day of the calendar."""
+    if not _DATE_RE.match(text):
+        return False
+    year, month, day = int(text[:4]), int(text[4:6]), int(text[6:])
+    if year < 1 or not 1 <= month <= 12:
+        return False
+    return 1 <= day <= calendar.monthrange(year, month)[1]
 
 
 def instant_from_text(text: str) -> int:

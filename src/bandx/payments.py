@@ -6,6 +6,10 @@ signed by the payer, payable to one merchant, pinning the exact amount,
 currency, nonce, and date. The merchant decides whether to deliver by
 running the compliance check over its policy, the guarantor credential,
 the offer, and the check, all against one shared action attribute set.
+
+`payment_verdict` is that decision, and the only place it is made: a
+network element runs it before delivering and the settlement center
+runs it again on the deposited record, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -23,13 +27,23 @@ from .credentials import (
     Literal,
     PAnd,
     POr,
+    UnverifiedCredential,
     build_credential,
     check_compliance,
     sign_credential,
+    verify_signature,
+    verify_signature_fresh,
 )
-from .keys import POLICY, KeyPair, PublicKeyId
+from .keys import POLICY, KeyPair, PublicKeyId, UnsupportedAlgorithm
 from .money import Money, is_date, parse_amount
-from .offers import APP_DOMAIN, Offer
+from .offers import APP_DOMAIN, Offer, validate_unbundling
+
+REASON_BAD_SIGNATURE = "bad-signature"
+REASON_REFUSED = "compliance-refused"
+REASON_UNDERPAID = "underpaid"
+REASON_UNKNOWN_GUARANTOR = "unknown-guarantor"
+REASON_MALFORMED = "malformed"
+REASON_UNBUNDLING = "unbundling-prohibited"
 
 
 class StaleNonce(Exception):
@@ -319,3 +333,65 @@ def build_keepalive_policy(
     if not trusted_guarantors:
         raise ValueError("policy requires at least one trusted guarantor key")
     return _policy(tuple(str(g) for g in trusted_guarantors), None, app_domain)
+
+
+def payment_verdict(
+    offer: Offer | None,
+    check: MicrocheckView,
+    guarantor: Credential,
+    action: ActionAttributeSet,
+    merchant_key: str,
+    trusted_guarantors: list[str],
+    app_domain: str,
+    *,
+    fresh: bool,
+) -> str | None:
+    """Whether `check` pays `merchant_key` for `action`: None when it
+    does, else the reason of the first failing step, in the order of the
+    table in docs/formats.md: payee, guarantor trust, action amount,
+    offer signature, un-bundling, pro-rated floor, compliance.
+
+    `offer` is None for a keepalive, which skips the offer steps and is
+    checked against the keepalive policy. The offer's signature is
+    verified on its own only when the un-bundling or floor step refuses;
+    otherwise the compliance check verifies it, with the same outcome
+    and one verification. `fresh` verifies every signature anew instead
+    of trusting remembered successes.
+    """
+    if check.merchant_key != merchant_key:
+        return REASON_MALFORMED
+    if guarantor.authorizer not in trusted_guarantors:
+        return REASON_UNKNOWN_GUARANTOR
+    if action.get("amount") != check.amount.as_decimal_str():
+        return REASON_MALFORMED
+    try:
+        if offer is None:
+            ok = verify_keepalive_payment(
+                build_keepalive_policy(trusted_guarantors, app_domain),
+                guarantor, check.credential, merchant_key, action, fresh=fresh,
+            )
+        else:
+            fault = _sale_fault(offer, check, action)
+            if fault is not None:
+                verify = verify_signature_fresh if fresh else verify_signature
+                return fault if verify(offer.credential) else REASON_BAD_SIGNATURE
+            ok = verify_payment(
+                build_merchant_policy(merchant_key, trusted_guarantors, app_domain),
+                guarantor, offer.credential, check.credential, action, fresh=fresh,
+            )
+    except (UnverifiedCredential, UnsupportedAlgorithm):
+        return REASON_BAD_SIGNATURE
+    return None if ok else REASON_REFUSED
+
+
+def _sale_fault(offer: Offer, check: MicrocheckView, action: ActionAttributeSet) -> str | None:
+    """The un-bundling and floor steps of payment_verdict."""
+    try:
+        purchased = int(action.get("bandwidth") or "")
+        if not validate_unbundling(offer, purchased):
+            return REASON_UNBUNDLING
+    except ValueError:  # not an integer, or not positive
+        return REASON_MALFORMED
+    if check.amount.cents < offer.prorated_price(purchased).cents:
+        return REASON_UNDERPAID
+    return None

@@ -38,6 +38,7 @@ from .services import (
     GuarantorService,
     IspService,
     Transport,
+    error_code,
 )
 from .settlement import SettlementCenter
 
@@ -50,21 +51,6 @@ class AssertionFailed(Exception):
     def __init__(self, event_index: int, detail: str):
         self.event_index = event_index
         super().__init__(f"event {event_index}: {detail}")
-
-
-_EXPECT_CODES = {
-    "no-path": "NoPath",
-    "payment-refused": "PaymentRefused",
-    "capacity-exhausted": "CapacityExhausted",
-    "unbundling-prohibited": "UnbundlingProhibited",
-    "expired-challenge": "ExpiredChallenge",
-    "replayed-challenge": "ReplayedChallenge",
-    "unknown-reservation": "UnknownReservation",
-    "outside-interval": "OutsideInterval",
-    "partial": "PartialEstablishment",
-    "bad-signature": "BadSignature",
-    "stale-nonce": "StaleNonce",
-}
 
 
 @dataclass(frozen=True)
@@ -253,11 +239,11 @@ class _Runner:
             except AssertionFailed:
                 raise
             except Exception as exc:
-                got = type(exc).__name__
-                if expect and _EXPECT_CODES.get(expect) == got:
+                got = "partial" if isinstance(exc, PartialEstablishment) else error_code(exc)
+                if expect == got:
                     continue
                 raise AssertionFailed(
-                    event.index, f"{event.kind} raised {got}: {exc}"
+                    event.index, f"{event.kind} raised {type(exc).__name__}: {exc}"
                 ) from exc
             if expect:
                 raise AssertionFailed(

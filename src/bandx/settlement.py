@@ -9,6 +9,10 @@ The journal is never fsynced, so a power loss can drop records the
 operating system had not yet written out. A record is self-contained
 (offer, check, guarantor, action), which is what makes replaying a
 disputed transaction possible from the stored bytes alone.
+
+Whether a record pays is `payments.payment_verdict`, the decision the
+network element ran before delivering, run again on the stored action;
+this module adds only the double-deposit guard and the daily payer cap.
 """
 
 from __future__ import annotations
@@ -20,31 +24,23 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
-from .credentials import (
-    ActionAttributeSet,
-    Credential,
-    UnverifiedCredential,
-    parse_credential,
-)
+from .credentials import ActionAttributeSet, Credential, parse_credential
 from .keys import PublicKeyId
-from .money import Money, prorated_cents
-from .offers import APP_DOMAIN, MalformedOffer, derive_offer_fields, validate_unbundling
-from .payments import (
+from .money import Money
+from .offers import APP_DOMAIN, MalformedOffer, derive_offer_fields
+from .payments import (  # the verdict's reasons are this module's rejection reasons too
+    REASON_BAD_SIGNATURE,
+    REASON_MALFORMED,
+    REASON_REFUSED,
+    REASON_UNBUNDLING,
+    REASON_UNDERPAID,
+    REASON_UNKNOWN_GUARANTOR,
     MicrocheckView,
-    build_keepalive_policy,
-    build_merchant_policy,
     open_microcheck,
-    verify_keepalive_payment,
-    verify_payment,
+    payment_verdict,
 )
 
 REASON_DOUBLE_DEPOSIT = "double-deposit"
-REASON_BAD_SIGNATURE = "bad-signature"
-REASON_REFUSED = "compliance-refused"
-REASON_UNDERPAID = "underpaid"
-REASON_UNKNOWN_GUARANTOR = "unknown-guarantor"
-REASON_MALFORMED = "malformed"
-REASON_UNBUNDLING = "unbundling-prohibited"
 REASON_AGGREGATE_CAP = "aggregate-cap"
 
 
@@ -162,8 +158,7 @@ class SettlementCenter:
         """Re-run the stored transaction; equals the verdict recorded at
         deposit time for every journaled record. Every signature is
         verified anew, never taken from the verification memo."""
-        verdict, _ = self._verdict(record, _open_check(record), fresh=True)
-        return verdict
+        return self._verdict(record, _open_check(record), fresh=True) is None
 
     def recorded_verdict(self, record_id: str) -> bool | None:
         entry = self._by_id.get(record_id)
@@ -179,63 +174,23 @@ class SettlementCenter:
     # -- verdict ------------------------------------------------------------
 
     def _verdict(
-        self, record: TransactionRecord, check: MicrocheckView | None, fresh: bool = False
-    ) -> tuple[bool, str]:
-        """`check` is the record's opened microcheck, None when it is malformed."""
+        self, record: TransactionRecord, check: MicrocheckView | None, *, fresh: bool
+    ) -> str | None:
+        """None when the record pays, else its rejection reason. `check`
+        is the record's opened microcheck, None when it is malformed. A
+        record whose action names no link is a keepalive payment."""
         if check is None:
-            return False, REASON_MALFORMED
-        if check.merchant_key != record.merchant_key:
-            return False, REASON_MALFORMED
-        if record.guarantor.authorizer not in self._guarantors:
-            return False, REASON_UNKNOWN_GUARANTOR
-        if record.action.get("amount") != check.amount.as_decimal_str():
-            return False, REASON_MALFORMED
-
-        keepalive = record.action.get("link_name") is None
-        try:
-            if keepalive:
-                ok = verify_keepalive_payment(
-                    build_keepalive_policy(self._guarantors, self._app_domain),
-                    record.guarantor,
-                    record.microcheck,
-                    record.merchant_key,
-                    record.action,
-                    fresh=fresh,
-                )
-            else:
-                ok = verify_payment(
-                    build_merchant_policy(
-                        record.merchant_key, self._guarantors, self._app_domain
-                    ),
-                    record.guarantor,
-                    record.offer,
-                    record.microcheck,
-                    record.action,
-                    fresh=fresh,
-                )
-        except UnverifiedCredential:
-            return False, REASON_BAD_SIGNATURE
-        if not ok:
-            return False, REASON_REFUSED
-
-        if not keepalive:
-            # Recompute the pro-rated price floor from the offer itself.
+            return REASON_MALFORMED
+        offer = None
+        if record.action.get("link_name") is not None:
             try:
                 offer = derive_offer_fields(record.offer)
             except MalformedOffer:
-                return False, REASON_MALFORMED
-            try:
-                purchased = int(record.action.get("bandwidth") or "")
-            except ValueError:
-                return False, REASON_MALFORMED
-            if purchased <= 0:
-                return False, REASON_MALFORMED
-            if not validate_unbundling(offer, purchased):
-                return False, REASON_UNBUNDLING
-            floor = prorated_cents(offer.min_price.cents, purchased, offer.bandwidth_mbps)
-            if check.amount.cents < floor:
-                return False, REASON_UNDERPAID
-        return True, "-"
+                return REASON_MALFORMED
+        return payment_verdict(
+            offer, check, record.guarantor, record.action, record.merchant_key,
+            self._guarantors, self._app_domain, fresh=fresh,
+        )
 
     # -- processing ---------------------------------------------------------
 
@@ -251,8 +206,8 @@ class SettlementCenter:
         else:
             payer, nonce, amount_cents, currency = "-", "-", 0, "USD"
 
-        verdict, reason = self._verdict(record, check)
-        accepted = verdict
+        reason = self._verdict(record, check, fresh=False)
+        verdict = accepted = reason is None
         if accepted and (payer, nonce) in self._settled:
             accepted, reason = False, REASON_DOUBLE_DEPOSIT
         if accepted and self._daily_cap is not None and currency == self._daily_cap.currency:

@@ -206,8 +206,8 @@ def spot_request(world: FabricWorld, ne, offers, purchased_mbps: int, now: int,
     local = [o for o in offers if o.authorizer == ne.isp_key]
     checks = []
     for i, cred in enumerate(local):
-        fields = derive_offer_fields(cred)
-        amount = amounts[i] if amounts else fields.prorated_price(purchased_mbps)
+        amount = (amounts[i] if amounts
+                  else derive_offer_fields(cred).prorated_price(purchased_mbps))
         nonce = nonces[i] if nonces else f"{world.wallet.pair.sign(challenge.challenge_id.encode() + bytes([i])).hex()[:16]}"
         checks.append(world.wallet.write_check(ne.isp_key, amount, nonce,
                                                date_of_instant(now)))

@@ -7,7 +7,13 @@ import random
 
 import pytest
 
-from bandx.credentials import BadSignature, parse_credential, render_credential
+from bandx.credentials import (
+    BadSignature,
+    build_credential,
+    parse_credential,
+    render_credential,
+    sign_credential,
+)
 from bandx.fabric import (
     ACTIVE,
     EXPIRED,
@@ -513,6 +519,16 @@ def _unchained(world, ne, submit):
     return spot_request(world, ne, offers, 50, world.now)
 
 
+def _impossible_expiry(world, ne, submit):
+    """A signed offer that expires on the 39th of November."""
+    conditions = (
+        'app_domain == "BAND-X" && currency == "USD" && link_name == "Rome-Paris" '
+        '&& &bandwidth <= "50Mbps" && &amount >= 3.00 && date < "20031139" -> "true";'
+    )
+    offer = sign_credential(build_credential(world.isp_a.public_id, "", conditions), world.isp_a)
+    return spot_request(world, ne, [offer], 50, world.now, amounts=[Money(300)])
+
+
 def _fill(world, segment, mbps):
     from_ne, to_ne, _name = segment
     filler = Reservation(
@@ -551,6 +567,7 @@ REFUSALS = [
     (_foreign_head, PaymentRefused, "no offers for this provider"),
     (_elsewhere, PaymentRefused, "not at this ingress"),
     (_unchained, PaymentRefused, "do not chain"),
+    (_impossible_expiry, PaymentRefused, "malformed offer"),
     (_full_link, CapacityExhausted, "A-Rome->A-Paris"),
     (_full_second_hop, CapacityExhausted, "A-Milan->A-Paris"),
 ]

@@ -8,6 +8,8 @@ from dataclasses import replace
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandx.credentials import (
     ActionAttributeSet,
@@ -16,9 +18,10 @@ from bandx.credentials import (
     render_credential,
     sign_credential,
 )
+from bandx.fabric import PaymentRefused, UnbundlingProhibited, sign_reservation_request
 from bandx.keys import generate_keypair
-from bandx.money import Money
-from bandx.offers import open_offer
+from bandx.money import Money, date_of_instant
+from bandx.offers import derive_offer_fields, make_offer_credential, open_offer
 from bandx.payments import (
     StaleNonce,
     Wallet,
@@ -30,7 +33,12 @@ from bandx.payments import (
     verify_payment,
 )
 from bandx.settlement import (
+    REASON_BAD_SIGNATURE,
     REASON_DOUBLE_DEPOSIT,
+    REASON_MALFORMED,
+    REASON_REFUSED,
+    REASON_UNBUNDLING,
+    REASON_UNDERPAID,
     REASON_UNKNOWN_GUARANTOR,
     SettlementCenter,
     TransactionRecord,
@@ -41,7 +49,7 @@ from bandx.settlement import (
 )
 
 from conftest import make_chain
-from helpers import TODAY, counting_scheme_verify, settlement_world
+from helpers import TODAY, counting_scheme_verify, settlement_world, two_isp_world
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +326,112 @@ def test_rejected_records_change_no_balances(chain):
     report = csc.deposit_batch([bad])
     assert report.accepted == ()
     assert csc.balances() == before
+
+
+# ---------------------------------------------------------------------------
+# One payment verdict at the network element and at the settlement center
+# ---------------------------------------------------------------------------
+
+# Single-fault mutations of one purchase: the network element's refusal
+# and the settlement center's reason for the record it would have
+# queued, as in the table in docs/formats.md.
+AGREEMENT = {
+    "forged-offer": (PaymentRefused, REASON_BAD_SIGNATURE),
+    "forged-check": (PaymentRefused, REASON_BAD_SIGNATURE),
+    "forged-guarantor": (PaymentRefused, REASON_BAD_SIGNATURE),
+    "untrusted-guarantor": (PaymentRefused, REASON_UNKNOWN_GUARANTOR),
+    "other-payee": (PaymentRefused, REASON_MALFORMED),
+    "underpaid": (PaymentRefused, REASON_UNDERPAID),
+    "part-of-whole-only": (UnbundlingProhibited, REASON_UNBUNDLING),
+    "other-day": (PaymentRefused, REASON_REFUSED),
+}
+
+
+def _forge(cred):
+    """`cred` with one character of its signature changed."""
+    alg, material = cred.signature
+    flipped = material[:-4] + ("A" if material[-4] != "A" else "B") + material[-3:]
+    return parse_credential(
+        render_credential(replace(cred, signature=(alg, flipped), source_text=None))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fault=st.sampled_from([None, *AGREEMENT]),
+    mbps=st.sampled_from([20, 50, 100]),
+    cents=st.integers(100, 900),
+    unbundle=st.booleans(),
+    half=st.booleans(),
+    future=st.booleans(),
+)
+def test_network_element_and_settlement_center_agree(fault, mbps, cents, unbundle, half,
+                                                     future):
+    world = two_isp_world()
+    ne = world.fabric.ne("A-Rome")
+    today = date_of_instant(world.now)
+    whole_only = fault == "part-of-whole-only"
+    unbundle = unbundle and not whole_only
+    purchased = mbps // 2 if whole_only or (half and unbundle) else mbps
+    offer = make_offer_credential(world.isp_a, "Rome-Paris", mbps, Money(cents), "20031125",
+                                  unbundling_allowed=unbundle)
+    amount = derive_offer_fields(offer).prorated_price(purchased)
+    if fault == "underpaid":
+        amount = Money(amount.cents - 1)
+    guarantor = world.cwc
+    if fault == "untrusted-guarantor":
+        rogue = generate_keypair("agreement:rogue-bank")
+        guarantor = issue_guarantor_credential(rogue, world.customer.public_id, Money(10_000),
+                                               "20041231")
+    check = world.wallet.write_check(
+        (world.isp_b if fault == "other-payee" else world.isp_a).public_id,
+        amount,
+        "a11ce0000000cafe",
+        date_of_instant(world.now + 86_400) if fault == "other-day" else today,
+    )
+    offer = _forge(offer) if fault == "forged-offer" else offer
+    check = _forge(check) if fault == "forged-check" else check
+    guarantor = _forge(guarantor) if fault == "forged-guarantor" else guarantor
+    challenge = ne.issue_challenge(world.now)
+    req = sign_reservation_request(world.customer, challenge.challenge_id, (offer,), guarantor,
+                                   (check,), purchased)
+    start = world.now + 86_400
+
+    def submit():
+        if future:
+            return ne.book_future(req, (start, start + 3600), world.now)
+        return ne.handle_spot_request(req, world.now)
+
+    csc = SettlementCenter([world.guarantor.public_id])
+    if fault is None:
+        submit()
+        records = world.fabric.flush_records()
+        assert len(records) == 1
+        report = csc.deposit_batch(records)
+        assert len(report.accepted) == 1 and report.rejected == ()
+        assert csc.dispute_replay(records[0]) is True
+        assert csc.recorded_verdict(records[0].record_id()) is True
+        return
+
+    refusal, reason = AGREEMENT[fault]
+    with pytest.raises(refusal) as refused:
+        submit()
+    assert refused.type is refusal
+    assert world.fabric.flush_records() == []
+    view = open_microcheck(check)
+    record = TransactionRecord(
+        offer=offer,
+        microcheck=check,
+        guarantor=guarantor,
+        action=build_purchase_action(derive_offer_fields(offer), purchased, view.amount,
+                                     view.nonce, today),
+        merchant_key=ne.isp_key,
+        received_at=today,
+    )
+    report = csc.deposit_batch([record])
+    assert report.rejected == ((record.record_id(), reason),)
+    assert csc.dispute_replay(record) is False
+    assert csc.recorded_verdict(record.record_id()) is False
 
 
 # ---------------------------------------------------------------------------
