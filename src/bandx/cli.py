@@ -13,7 +13,9 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .credentials import CredentialSyntaxError, parse_credential_blocks
 from .envelope import ProtocolError
@@ -93,30 +95,30 @@ def cmd_post_offer(args) -> int:
         qos_class=args.qos,
         path_hint=tuple(args.hint.split(",")) if args.hint else (),
     )
-    transport = SocketTransport(_endpoints(args), sender="cli")
-    transport.broadcast_clock(_now(args))
-    reply = raise_for_error(
-        transport.send("ch", "POST-OFFER", {}, {"offer": cred.text().encode("utf-8")})
-    )
+    with SocketTransport(_endpoints(args), sender="cli") as transport:
+        transport.broadcast_clock(_now(args))
+        reply = raise_for_error(
+            transport.send("ch", "POST-OFFER", {}, {"offer": cred.text().encode("utf-8")})
+        )
     print(reply.require("offer_id"))
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
-    transport = SocketTransport(_endpoints(args), sender="cli")
-    transport.broadcast_clock(_now(args))
-    reply = raise_for_error(
-        transport.send(
-            "ch",
-            "QUERY",
-            {
-                "from": args.link_from,
-                "to": args.link_to,
-                "bandwidth": str(args.mbps),
-                "currency": args.currency,
-            },
+    with SocketTransport(_endpoints(args), sender="cli") as transport:
+        transport.broadcast_clock(_now(args))
+        reply = raise_for_error(
+            transport.send(
+                "ch",
+                "QUERY",
+                {
+                    "from": args.link_from,
+                    "to": args.link_to,
+                    "bandwidth": str(args.mbps),
+                    "currency": args.currency,
+                },
+            )
         )
-    )
     from .offers import open_offer
 
     for block in reply.numbered_blocks("offer"):
@@ -129,19 +131,21 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _session(args) -> tuple[QnaSession, SocketTransport, int]:
+@contextmanager
+def _session(args) -> Iterator[tuple[QnaSession, int]]:
+    """A customer session over sockets, closed when the verb is done."""
     pair = _load_key(args.key)
     cwc = parse_credential_blocks(Path(args.cwc).read_text(encoding="utf-8"))[0]
-    transport = SocketTransport(_endpoints(args), sender="qna")
-    now = _now(args)
-    transport.broadcast_clock(now)
-    return QnaSession(pair, Wallet(pair, cwc), transport), transport, now
+    with SocketTransport(_endpoints(args), sender="qna") as transport:
+        now = _now(args)
+        transport.broadcast_clock(now)
+        yield QnaSession(pair, Wallet(pair, cwc), transport), now
 
 
 def cmd_buy(args) -> int:
-    session, transport, now = _session(args)
-    handle = session.purchase_spot(args.link_from, args.link_to, args.mbps, now,
-                                   currency=args.currency)
+    with _session(args) as (session, now):
+        handle = session.purchase_spot(args.link_from, args.link_to, args.mbps, now,
+                                       currency=args.currency)
     for leg in handle.legs:
         print(
             f"{leg.reservation_id} {leg.state} {','.join(leg.links)} "
@@ -154,12 +158,12 @@ def cmd_buy(args) -> int:
 def cmd_book(args) -> int:
     from .money import instant_from_text
 
-    session, transport, now = _session(args)
-    creds = session.purchase_future(
-        args.link_from, args.link_to, args.mbps,
-        (instant_from_text(args.start), instant_from_text(args.end)), now,
-        currency=args.currency,
-    )
+    with _session(args) as (session, now):
+        creds = session.purchase_future(
+            args.link_from, args.link_to, args.mbps,
+            (instant_from_text(args.start), instant_from_text(args.end)), now,
+            currency=args.currency,
+        )
     text = "\n".join(c.text() for c in creds)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -169,23 +173,23 @@ def cmd_book(args) -> int:
 
 
 def cmd_activate(args) -> int:
-    session, transport, now = _session(args)
     creds = parse_credential_blocks(Path(args.credentials).read_text(encoding="utf-8"))
-    handle = session.activate(creds, now)
+    with _session(args) as (session, now):
+        handle = session.activate(creds, now)
     for leg in handle.legs:
         print(f"{leg.reservation_id} {leg.state}")
     return EXIT_OK
 
 
 def cmd_deposit(args) -> int:
-    transport = SocketTransport(_endpoints(args), sender="cli")
-    transport.broadcast_clock(_now(args))
-    fields = {"isp": args.isp_name} if args.isp_name else {}
-    records = raise_for_error(transport.send("isp", "FLUSH-RECORDS", fields))
-    reply = raise_for_error(
-        transport.send("csc", "DEPOSIT", {"count": records.get("count") or "0"},
-                       dict(records.blocks))
-    )
+    with SocketTransport(_endpoints(args), sender="cli") as transport:
+        transport.broadcast_clock(_now(args))
+        fields = {"isp": args.isp_name} if args.isp_name else {}
+        records = raise_for_error(transport.send("isp", "FLUSH-RECORDS", fields))
+        reply = raise_for_error(
+            transport.send("csc", "DEPOSIT", {"count": records.get("count") or "0"},
+                           dict(records.blocks))
+        )
     print(f"accepted={reply.require('accepted')} rejected={reply.require('rejected')} "
           f"commission={reply.get('commission') or '-'}")
     report = reply.blocks.get("report")
@@ -195,16 +199,16 @@ def cmd_deposit(args) -> int:
 
 
 def cmd_report(args) -> int:
-    transport = SocketTransport(_endpoints(args), sender="cli")
-    for dest, msg in (("csc", "REPORT"), ("isp", "REPORT"), ("ch", "REPORT")):
-        if dest not in transport.endpoints:
-            continue
-        reply = raise_for_error(transport.send(dest, msg))
-        block = reply.blocks.get("report")
-        if block:
-            print(block.decode("utf-8"), end="")
-        for key, value in sorted(reply.fields.items()):
-            print(f"{dest} {key}={value}")
+    with SocketTransport(_endpoints(args), sender="cli") as transport:
+        for dest, msg in (("csc", "REPORT"), ("isp", "REPORT"), ("ch", "REPORT")):
+            if dest not in transport.endpoints:
+                continue
+            reply = raise_for_error(transport.send(dest, msg))
+            block = reply.blocks.get("report")
+            if block:
+                print(block.decode("utf-8"), end="")
+            for key, value in sorted(reply.fields.items()):
+                print(f"{dest} {key}={value}")
     return EXIT_OK
 
 
@@ -218,7 +222,11 @@ def cmd_run(args) -> int:
             role, _, addr = part.partition("=")
             endpoints[role] = _addr(addr)
         transport = SocketTransport(endpoints, sender="qna")
-    result = run_parsed(scn, transport, journal_path=args.journal)
+    try:
+        result = run_parsed(scn, transport, journal_path=args.journal)
+    finally:
+        if transport is not None:
+            transport.close()
     if args.transcript:
         Path(args.transcript).write_bytes(result.transcript)
     if args.report:

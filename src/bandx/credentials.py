@@ -21,11 +21,16 @@ identically regardless of layout. Parsed texts and successful
 verifications are remembered (bounded; dispute replay bypasses the
 signature memo); see "Parse memo" and "Signature memo" in
 docs/formats.md.
+
+The package's own credentials are built as structures with `pin` and
+`conjunction` and read back with `conjuncts` and `pins`, never spliced
+into text; see "Credential construction" in docs/formats.md.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import re
 import threading
@@ -63,10 +68,14 @@ __all__ = [
     "build_credential",
     "canonical_bytes",
     "check_compliance",
+    "conjunction",
+    "conjuncts",
     "credential_id",
     "eval_conditions",
     "parse_credential",
     "parse_credential_blocks",
+    "pin",
+    "pins",
     "render_credential",
     "sign_credential",
     "verify_signature",
@@ -494,26 +503,13 @@ def _parse_clauses(stream: _TokenStream) -> tuple | None:
 # Parsed credentials, keyed by the whole text, never by a digest of it,
 # so no collision can hand back another credential. A Credential is
 # immutable and parsing is a pure function of the text, so a remembered
-# result equals a fresh parse. Failures are not kept. The oldest entry
-# goes first once the bound is hit.
-_PARSE_MEMO_SIZE = 256
-_parsed: dict[str, Credential] = {}
-_parsed_lock = threading.Lock()
-
-
+# result equals a fresh parse. Failures are not kept: lru_cache stores no
+# exception. The least recently used text goes first once the bound is hit.
+@functools.lru_cache(maxsize=256)
 def parse_credential(text: str) -> Credential:
     """Parse one credential block. A repeated text returns the credential
     parsed the first time (see "Parse memo" in docs/formats.md)."""
-    cred = _parsed.get(text)
-    if cred is not None:
-        return cred
-    cred = _parse_credential(text)
-    with _parsed_lock:
-        if text not in _parsed:
-            if len(_parsed) >= _PARSE_MEMO_SIZE:
-                del _parsed[next(iter(_parsed))]
-            _parsed[text] = cred
-    return cred
+    return _parse_credential(text)
 
 
 def _parse_credential(text: str) -> Credential:
@@ -695,9 +691,13 @@ def canonical_bytes(cred: Credential) -> bytes:
 
 def render_credential(cred: Credential) -> str:
     """Canonical text form; re-parsing it reproduces the same canonical bytes."""
-    text = canonical_bytes(cred).decode("utf-8")
-    if cred.signature is not None:
-        alg, material = cred.signature
+    return _render(canonical_bytes(cred), cred.signature)
+
+
+def _render(message: bytes, signature: tuple | None) -> str:
+    text = message.decode("utf-8")
+    if signature is not None:
+        alg, material = signature
         text += f"Signature: {_quote(f'{alg}:{material}')}\n"
     return text
 
@@ -718,13 +718,10 @@ def sign_credential(cred: Credential, pair: KeyPair) -> Credential:
         raise KeyMismatch(
             f"authorizer {cred.authorizer} does not match signing key {pair.public_id}"
         )
-    sig = pair.sign(canonical_bytes(cred))
-    signed = replace(
-        cred,
-        signature=(pair.scheme.sig_algorithm, base64.b64encode(sig).decode("ascii")),
-        source_text=None,
-    )
-    return replace(signed, source_text=render_credential(signed))
+    message = canonical_bytes(cred)
+    sig = pair.sign(message)
+    signature = (pair.scheme.sig_algorithm, base64.b64encode(sig).decode("ascii"))
+    return replace(cred, signature=signature, source_text=_render(message, signature))
 
 
 # Successful verifications, keyed by _memo_key. A credential is immutable
@@ -948,8 +945,58 @@ def check_compliance(
 
 
 # ---------------------------------------------------------------------------
-# Construction helper
+# Construction and the condition schema
 # ---------------------------------------------------------------------------
+
+# Characters str.splitlines breaks on: a value holding one would render
+# to text that does not parse back to it.
+_LINE_BREAK_RE = re.compile(r"[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
+def pin(attr: str, value: str) -> Compare:
+    """The comparison `attr == "value"`. The value stays one literal
+    whatever it holds; a line break in it is refused."""
+    if _LINE_BREAK_RE.search(value):
+        raise ValueError(f"{attr} value spans lines: {value!r}")
+    return Compare(attr, "==", Literal("string", value), False)
+
+
+def conjunction(
+    authorizer: PublicKeyId,
+    licensee: PublicKeyId | str | None,
+    tests: list[Compare],
+) -> Credential:
+    """Unsigned credential from `authorizer` to the one key `licensee`
+    (anyone when None) whose single clause is `tests` joined by `&&`,
+    with result "true": the credential parsing that text gives."""
+    leaf = Anyone if licensee is None else KeyLeaf(
+        PublicKeyId.from_text(str(licensee)).canonical()
+    )
+    test = tests[0] if len(tests) == 1 else CAnd(tuple(tests))
+    return Credential(2, (), authorizer.canonical(), leaf, (Clause(test, "true"),))
+
+
+def conjuncts(cred: Credential) -> tuple[Compare, ...]:
+    """The comparisons in conjunctive position of the first clause whose
+    result is "true": the clause's test when it is one comparison, else
+    the comparisons among its `&&` operands. Empty when no clause is
+    "true" or that clause is neither."""
+    for clause in cred.clauses or ():
+        if clause.result != "true":
+            continue
+        if isinstance(clause.test, Compare):
+            return (clause.test,)
+        if isinstance(clause.test, CAnd):
+            return tuple(c for c in clause.test.children if isinstance(c, Compare))
+        return ()
+    return ()
+
+
+def pins(cred: Credential) -> dict[str, str]:
+    """attr -> value of each `attr == "value"` among `conjuncts(cred)`;
+    the last pin of an attribute wins."""
+    return {c.attr: c.literal.text for c in conjuncts(cred) if c.op == "==" and not c.numeric}
+
 
 def build_credential(
     authorizer: PublicKeyId | str,
@@ -957,11 +1004,13 @@ def build_credential(
     conditions: str,
     constants: Mapping[str, str] | None = None,
 ) -> Credential:
-    """Assemble a credential by formatting and re-parsing text, so every
-    programmatic construction is grammar-valid by definition.
+    """Assemble a credential by formatting and re-parsing text: the text
+    path, kept as the reference the structural builders are tested
+    against.
 
     `licensees` and `conditions` are field bodies in the credential
-    language; constant names may be referenced if provided.
+    language, spliced in unescaped; constant names may be referenced if
+    provided.
     """
     auth = authorizer.canonical() if isinstance(authorizer, PublicKeyId) else str(authorizer)
     lines = ["Keynote-Version: 2"]

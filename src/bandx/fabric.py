@@ -40,9 +40,13 @@ from operator import itemgetter
 from .credentials import (
     ActionAttributeSet,
     BadSignature,
+    Compare,
     Credential,
-    build_credential,
+    Literal,
     canonical_bytes,
+    conjunction,
+    pin,
+    pins,
     sign_credential,
     verify_signature,
 )
@@ -51,7 +55,6 @@ from .money import Money, date_of_instant, text_of_instant, instant_from_text
 from .offers import APP_DOMAIN, MalformedOffer, Offer, QOS_PREMIUM, derive_offer_fields
 from .payments import (
     REASON_UNBUNDLING,
-    _pins,
     build_keepalive_action,
     build_purchase_action,
     open_microcheck,
@@ -197,15 +200,14 @@ def make_reservation_credential(
 ) -> Credential:
     """Signed commitment redeemable alone at activation time; expires
     with the reserved period."""
-    conditions = (
-        f'app_domain == "{app_domain}" '
-        f'&& reservation_id == "{res.reservation_id}" '
-        f'&& link_names == "{",".join(res.link_names)}" '
-        f"&& &bandwidth == {res.bandwidth_mbps} "
-        f'&& starts == "{text_of_instant(res.start)}" '
-        f'&& ends == "{text_of_instant(res.end)}" -> "true";'
-    )
-    cred = build_credential(isp.public_id, f'"{res.customer_key}"', conditions)
+    cred = conjunction(isp.public_id, res.customer_key, [
+        pin("app_domain", app_domain),
+        pin("reservation_id", res.reservation_id),
+        pin("link_names", ",".join(res.link_names)),
+        Compare("bandwidth", "==", Literal("number", str(res.bandwidth_mbps)), True),
+        pin("starts", text_of_instant(res.start)),
+        pin("ends", text_of_instant(res.end)),
+    ])
     return sign_credential(cred, isp)
 
 
@@ -213,15 +215,15 @@ def open_reservation_credential(cred: Credential) -> dict:
     """Pinned reservation fields, or raise BadSignature / ValueError."""
     if not verify_signature(cred):
         raise BadSignature("reservation credential failed signature verification")
-    pins = _pins(cred)
+    pinned = pins(cred)
     for required in ("reservation_id", "link_names", "starts", "ends"):
-        if required not in pins:
+        if required not in pinned:
             raise ValueError(f"reservation credential lacks {required!r}")
     return {
-        "reservation_id": pins["reservation_id"],
-        "link_names": tuple(pins["link_names"].split(",")),
-        "start": instant_from_text(pins["starts"]),
-        "end": instant_from_text(pins["ends"]),
+        "reservation_id": pinned["reservation_id"],
+        "link_names": tuple(pinned["link_names"].split(",")),
+        "start": instant_from_text(pinned["starts"]),
+        "end": instant_from_text(pinned["ends"]),
         "isp_key": cred.authorizer,
     }
 
@@ -280,8 +282,14 @@ class Pdp:
             self.app_domain, fresh=False,
         )
         if reason == REASON_UNBUNDLING:
+            if bandwidth_mbps > offer.bandwidth_mbps:
+                raise UnbundlingProhibited(
+                    f"offer advertises {offer.bandwidth_mbps}Mbps; "
+                    f"{bandwidth_mbps} is more than advertised"
+                )
             raise UnbundlingProhibited(
-                f"offer sells {offer.bandwidth_mbps}Mbps whole; {bandwidth_mbps} refused"
+                f"offer sells {offer.bandwidth_mbps}Mbps whole; "
+                f"{bandwidth_mbps} is part of a whole-only offer"
             )
         if reason is not None:
             raise PaymentRefused(f"payment refused: {reason}")

@@ -24,7 +24,10 @@ POLICY = "POLICY"
 
 DEFAULT_ALGORITHM = "ed25519-base64"
 
-_SPACE_RE = re.compile(r"\s")
+# "<algorithm>:<base64>": a tag of letters, digits and `_.+-`, then
+# base64 characters only, so a key id never carries whitespace, quotes
+# or operators.
+_KEY_ID_RE = re.compile(r"([A-Za-z0-9_.+-]+):([A-Za-z0-9+/]+={0,2})")
 
 
 class UnsupportedAlgorithm(Exception):
@@ -52,12 +55,10 @@ class PublicKeyId:
     def from_text(cls, text: str) -> "PublicKeyId":
         if text == POLICY:
             raise ValueError("POLICY is a reserved principal literal, not a key id")
-        if ":" not in text:
+        m = _KEY_ID_RE.fullmatch(text)
+        if m is None:
             raise ValueError(f"key id must be <algorithm>:<base64>, got {text!r}")
-        algorithm, material = text.split(":", 1)
-        if not algorithm or not material or _SPACE_RE.search(text):
-            raise ValueError(f"malformed key id {text!r}")
-        return cls(algorithm, material)
+        return cls(m[1], m[2])
 
 
 class SignatureScheme:

@@ -33,11 +33,13 @@ from decimal import Decimal
 
 from .credentials import (
     BadSignature,
-    CAnd,
     Compare,
     Credential,
-    build_credential,
+    Literal,
+    conjunction,
+    conjuncts,
     credential_id,
+    pin,
     sign_credential,
     verify_signature,
 )
@@ -106,50 +108,32 @@ def make_offer_credential(
     if qos_class not in (QOS_RESERVED, QOS_PREMIUM):
         raise ValueError(f"unknown qos class {qos_class!r}")
 
-    parts = [
-        f'app_domain == "{app_domain}"',
-        f'currency == "{min_price.currency}"',
-        f'link_name == "{link_name}"',
+    tests = [
+        pin("app_domain", app_domain),
+        pin("currency", min_price.currency),
+        pin("link_name", link_name),
     ]
     if unbundling_allowed:
         floor = Money(prorated_cents(min_price.cents, 1, bandwidth_mbps), min_price.currency)
-        parts.append(f'&bandwidth <= "{bandwidth_mbps}Mbps"')
-        parts.append(f'min_price == "{min_price.as_decimal_str()}"')
+        tests.append(Compare("bandwidth", "<=", Literal("string", f"{bandwidth_mbps}Mbps"), True))
+        tests.append(pin("min_price", min_price.as_decimal_str()))
     else:
         floor = min_price
-        parts.append(f"&bandwidth == {bandwidth_mbps}")
-    parts.append(f"&amount >= {floor.as_decimal_str()}")
-    parts.append(f'date < "{valid_until}"')
+        tests.append(Compare("bandwidth", "==", Literal("number", str(bandwidth_mbps)), True))
+    tests.append(Compare("amount", ">=", Literal("number", floor.as_decimal_str()), True))
+    tests.append(Compare("date", "<", Literal("string", valid_until), False))
     if qos_class != QOS_RESERVED:
-        parts.append(f'qos_class == "{qos_class}"')
+        tests.append(pin("qos_class", qos_class))
     if path_hint:
-        parts.append(f'path_hint == "{",".join(path_hint)}"')
-
-    conditions = " && ".join(parts) + ' -> "true";'
-    return sign_credential(build_credential(isp.public_id, "", conditions), isp)
+        tests.append(pin("path_hint", ",".join(path_hint)))
+    return sign_credential(conjunction(isp.public_id, None, tests), isp)
 
 
 # ---------------------------------------------------------------------------
 # Field derivation
 # ---------------------------------------------------------------------------
 
-def _positive_conjuncts(cred: Credential) -> list[Compare]:
-    """Comparisons in conjunctive position of the first authorizing clause."""
-    if not cred.clauses:
-        raise MalformedOffer("offer credential has no conditions")
-    for clause in cred.clauses:
-        if clause.result != "true":
-            continue
-        test = clause.test
-        if isinstance(test, Compare):
-            return [test]
-        if isinstance(test, CAnd):
-            return [c for c in test.children if isinstance(c, Compare)]
-        raise MalformedOffer("offer conditions must be a conjunction of comparisons")
-    raise MalformedOffer("offer credential has no authorizing clause")
-
-
-def _single(comps: list[Compare], attr: str, op: str | None = None) -> Compare | None:
+def _single(comps: tuple[Compare, ...], attr: str, op: str | None = None) -> Compare | None:
     found = [c for c in comps if c.attr == attr and (op is None or c.op == op)]
     if not found:
         return None
@@ -168,7 +152,7 @@ def _int_mbps(text: str) -> int:
 def derive_offer_fields(cred: Credential) -> Offer:
     """Derive the structured offer from its credential, rejecting any
     mismatch between pinned and computed fields."""
-    comps = _positive_conjuncts(cred)
+    comps = conjuncts(cred)
 
     link = _single(comps, "link_name", "==")
     if link is None:

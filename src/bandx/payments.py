@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from .credentials import (
     ActionAttributeSet,
-    CAnd,
     Clause,
     Compare,
     Credential,
@@ -28,8 +27,10 @@ from .credentials import (
     PAnd,
     POr,
     UnverifiedCredential,
-    build_credential,
     check_compliance,
+    conjunction,
+    pin,
+    pins,
     sign_credential,
     verify_signature,
     verify_signature_fresh,
@@ -48,16 +49,6 @@ REASON_UNBUNDLING = "unbundling-prohibited"
 
 class StaleNonce(Exception):
     """Payer-local reuse guard: every check must carry a fresh nonce."""
-
-
-@dataclass(frozen=True)
-class GuarantorView:
-    guarantor_key: str
-    payer_key: str
-    per_check_limit: Money
-    currency: str
-    expiry: str
-    credential: Credential
 
 
 @dataclass(frozen=True)
@@ -91,66 +82,13 @@ def issue_guarantor_credential(
     if now is not None and expiry <= now:
         raise ValueError(f"expiry {expiry} is not in the future of {now}")
     bound = Money(limit.cents + 1, limit.currency)
-    cred = build_credential(
-        guarantor.public_id,
-        f'"{payer_key}"',
-        f'app_domain == "{app_domain}" && currency == "{limit.currency}" '
-        f"&& &amount < {bound.as_decimal_str()} "
-        f'&& date < "{expiry}" -> "true";',
-    )
+    cred = conjunction(guarantor.public_id, payer_key, [
+        pin("app_domain", app_domain),
+        pin("currency", limit.currency),
+        Compare("amount", "<", Literal("number", bound.as_decimal_str()), True),
+        Compare("date", "<", Literal("string", expiry), False),
+    ])
     return sign_credential(cred, guarantor)
-
-
-def _pins(cred: Credential) -> dict[str, str]:
-    if not cred.clauses:
-        return {}
-    out: dict[str, str] = {}
-    for clause in cred.clauses:
-        if clause.result != "true":
-            continue
-        comps = (
-            [clause.test]
-            if isinstance(clause.test, Compare)
-            else list(clause.test.children) if isinstance(clause.test, CAnd) else []
-        )
-        for c in comps:
-            if isinstance(c, Compare) and c.op == "==" and not c.numeric:
-                out[c.attr] = c.literal.text
-        break
-    return out
-
-
-def open_guarantor(cred: Credential) -> GuarantorView:
-    """Derive the structured guarantor fields from the credential."""
-    if not isinstance(cred.licensees, KeyLeaf):
-        raise ValueError("guarantor credential must license a single payer key")
-    pins = _pins(cred)
-    limit_cents = None
-    expiry = None
-    if cred.clauses:
-        clause = cred.clauses[0]
-        comps = (
-            list(clause.test.children) if isinstance(clause.test, CAnd) else [clause.test]
-        )
-        for c in comps:
-            if isinstance(c, Compare) and c.attr == "amount" and c.numeric and c.op == "<":
-                from decimal import Decimal
-
-                bound = Decimal(c.literal.text)
-                limit_cents = int(bound * 100) - 1
-            if isinstance(c, Compare) and c.attr == "date" and c.op == "<":
-                expiry = c.literal.text
-    if limit_cents is None or limit_cents <= 0 or expiry is None:
-        raise ValueError("guarantor credential lacks amount/date bounds")
-    currency = pins.get("currency", "USD")
-    return GuarantorView(
-        guarantor_key=cred.authorizer,
-        payer_key=cred.licensees.key,
-        per_check_limit=Money(limit_cents, currency),
-        currency=currency,
-        expiry=expiry,
-        credential=cred,
-    )
 
 
 def open_microcheck(cred: Credential) -> MicrocheckView:
@@ -158,22 +96,22 @@ def open_microcheck(cred: Credential) -> MicrocheckView:
     full pin set."""
     if not isinstance(cred.licensees, KeyLeaf):
         raise ValueError("a check is payable to exactly one merchant key")
-    pins = _pins(cred)
+    pinned = pins(cred)
     for required in ("amount", "nonce", "date", "currency"):
-        if required not in pins:
+        if required not in pinned:
             raise ValueError(f"check does not pin {required!r}")
-    if len(pins["nonce"]) < 12:
+    if len(pinned["nonce"]) < 12:
         raise ValueError("check nonce must be at least 12 hex characters")
-    if not is_date(pins["date"]):
+    if not is_date(pinned["date"]):
         raise ValueError("check date must be YYYYMMDD")
-    amount = parse_amount(pins["amount"], pins["currency"])
+    amount = parse_amount(pinned["amount"], pinned["currency"])
     return MicrocheckView(
         payer_key=cred.authorizer,
         merchant_key=cred.licensees.key,
         amount=amount,
-        currency=pins["currency"],
-        nonce=pins["nonce"],
-        date=pins["date"],
+        currency=pinned["currency"],
+        nonce=pinned["nonce"],
+        date=pinned["date"],
         credential=cred,
     )
 
@@ -207,18 +145,13 @@ class Wallet:
             raise ValueError(f"date must be YYYYMMDD, got {date!r}")
         if amount.cents <= 0:
             raise ValueError("a check is for a positive amount")
-        merchant = (
-            merchant_key.canonical()
-            if isinstance(merchant_key, PublicKeyId)
-            else str(merchant_key)
-        )
-        cred = build_credential(
-            self.pair.public_id,
-            f'"{merchant}"',
-            f'app_domain == "{self.app_domain}" && currency == "{amount.currency}" '
-            f'&& amount == "{amount.as_decimal_str()}" && nonce == "{nonce}" '
-            f'&& date == "{date}" -> "true";',
-        )
+        cred = conjunction(self.pair.public_id, merchant_key, [
+            pin("app_domain", self.app_domain),
+            pin("currency", amount.currency),
+            pin("amount", amount.as_decimal_str()),
+            pin("nonce", nonce),
+            pin("date", date),
+        ])
         signed = sign_credential(cred, self.pair)
         self._used_nonces.add(nonce)
         return signed
@@ -246,8 +179,7 @@ def _policy(guarantors: tuple, merchant: str | None, app_domain: str) -> Credent
     licensees = leaves[0] if len(leaves) == 1 else POr(leaves)
     if merchant is not None:
         licensees = PAnd((licensees, KeyLeaf(PublicKeyId.from_text(merchant).canonical())))
-    test = Compare("app_domain", "==", Literal("string", app_domain), False)
-    return Credential(2, (), POLICY, licensees, (Clause(test, "true"),))
+    return Credential(2, (), POLICY, licensees, (Clause(pin("app_domain", app_domain), "true"),))
 
 
 def build_purchase_action(

@@ -416,6 +416,12 @@ class Transport:
     def close(self) -> None:
         pass
 
+    def __enter__(self) -> "Transport":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
 
 @dataclass
 class Bus(Transport):

@@ -175,8 +175,20 @@ def test_unbundling_prohibited_error():
     ne = world.fabric.ne("A-Rome")
     offer = _offer_a(world, mbps=100, cents=600, unbundling_allowed=False)
     req = spot_request(world, ne, [offer], 50, world.now, amounts=[Money(300)])
-    with pytest.raises(UnbundlingProhibited):
+    with pytest.raises(UnbundlingProhibited) as refused:
         ne.handle_spot_request(req, world.now)
+    assert str(refused.value) == "offer sells 100Mbps whole; 50 is part of a whole-only offer"
+
+
+@pytest.mark.parametrize("unbundling_allowed", [True, False])
+def test_more_than_advertised_is_worded_apart(unbundling_allowed):
+    world = two_isp_world()
+    ne = world.fabric.ne("A-Rome")
+    offer = _offer_a(world, mbps=50, cents=500, unbundling_allowed=unbundling_allowed)
+    req = spot_request(world, ne, [offer], 60, world.now, amounts=[Money(600)])
+    with pytest.raises(UnbundlingProhibited) as refused:
+        ne.handle_spot_request(req, world.now)
+    assert str(refused.value) == "offer advertises 50Mbps; 60 is more than advertised"
 
 
 def test_unbundled_purchase_prorates_and_admits():

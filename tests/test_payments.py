@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from bandx.credentials import (
     ActionAttributeSet,
+    KeyLeaf,
     eval_conditions,
     parse_credential,
+    pins,
     render_credential,
     sign_credential,
 )
@@ -28,10 +30,10 @@ from bandx.payments import (
     build_merchant_policy,
     build_purchase_action,
     issue_guarantor_credential,
-    open_guarantor,
     open_microcheck,
     verify_payment,
 )
+from bandx.services import Bus, GuarantorService
 from bandx.settlement import (
     REASON_BAD_SIGNATURE,
     REASON_DOUBLE_DEPOSIT,
@@ -63,13 +65,27 @@ def test_guarantor_credential_bounds():
     text = render_credential(cred)
     assert "&amount < 5.01" in text
     assert 'date < "20040324"' in text
-    view = open_guarantor(cred)
-    assert view.per_check_limit == Money(500)
-    assert view.payer_key == alice.public_id.canonical()
+    assert cred.licensees == KeyLeaf(alice.public_id.canonical())
+    assert pins(cred) == {"app_domain": "BAND-X", "currency": "USD"}
 
     base = dict(app_domain="BAND-X", currency="USD", date="20040320")
     assert eval_conditions(cred.clauses, ActionAttributeSet.of(amount="5.00", **base))
     assert not eval_conditions(cred.clauses, ActionAttributeSet.of(amount="5.01", **base))
+
+
+def test_issue_cwc_signs_nothing_for_more_than_one_payer_key():
+    bank = generate_keypair("p:bank")
+    a, b = (generate_keypair(f"p:{n}").public_id.canonical() for n in ("a", "b"))
+    bus = Bus({"guarantor": GuarantorService(bank)})
+    fields = {"limit_cents": "500", "expiry": "20040324"}
+    for payer in (f'{a}"||"{b}', f'{a}" && "{b}', f"{a} {b}"):
+        reply = bus.send("guarantor", "ISSUE-CWC", {**fields, "payer_key": payer})
+        assert reply.msg_type == "ERROR"
+        assert reply.require("code") == "invalid"
+        assert "credential" not in reply.blocks
+    reply = bus.send("guarantor", "ISSUE-CWC", {**fields, "payer_key": a})
+    cwc = parse_credential(reply.blocks["credential"].decode("utf-8"))
+    assert cwc.licensees == KeyLeaf(a)
 
 
 def test_guarantor_expiry_must_be_future_of_now():

@@ -1,6 +1,6 @@
-"""The regex scanner, the structural POLICY builders and the parse memo
-against the character-loop scanner, the text-built POLICY and the fresh
-parse they replaced.
+"""The regex scanner, the structural credential builders and the parse
+memo against the character-loop scanner, the text-built credentials and
+the fresh parse they replaced.
 
 `_reference_tokenize` and `_reference_strip_comment` are frozen copies of
 the earlier code; the scanner must agree with them token for token and
@@ -41,14 +41,23 @@ from bandx.credentials import (
     _tokenize,
     build_credential,
     canonical_bytes,
+    conjuncts,
     parse_credential,
+    pins,
     render_credential,
     sign_credential,
 )
-from bandx import credentials
 from bandx.envelope import decode
+from bandx.fabric import Reservation, make_reservation_credential
 from bandx.keys import POLICY, generate_keypair
-from bandx.payments import build_keepalive_policy, build_merchant_policy
+from bandx.money import Money, prorated_cents, text_of_instant
+from bandx.offers import QOS_PREMIUM, QOS_RESERVED, make_offer_credential
+from bandx.payments import (
+    Wallet,
+    build_keepalive_policy,
+    build_merchant_policy,
+    issue_guarantor_credential,
+)
 
 from conftest import make_chain
 
@@ -178,7 +187,8 @@ def test_operator_tokens_share_one_string_per_operator():
 # Canonical round trip on generated credentials
 # ---------------------------------------------------------------------------
 
-_KEYS = [generate_keypair(f"scanner:{i}").public_id.canonical() for i in range(4)]
+_PAIRS = [generate_keypair(f"scanner:{i}") for i in range(4)]
+_KEYS = [pair.public_id.canonical() for pair in _PAIRS]
 # A literal may hold anything but a line break: the header layout is line based.
 _LITERAL_TEXT = st.text(
     _TRICKY | st.characters(blacklist_categories=("Cc", "Zl", "Zp", "Cs")), max_size=12
@@ -276,6 +286,145 @@ def test_policy_is_built_once_per_arguments():
 
 
 # ---------------------------------------------------------------------------
+# Structural builders against the text-built credentials
+# ---------------------------------------------------------------------------
+
+# Frozen copies of the text path each builder replaced: condition text
+# formatted with the values spliced in, then parsed by build_credential.
+
+def _text_check(pair, merchant, amount, nonce, date, app_domain):
+    return build_credential(
+        pair.public_id,
+        f'"{merchant}"',
+        f'app_domain == "{app_domain}" && currency == "{amount.currency}" '
+        f'&& amount == "{amount.as_decimal_str()}" && nonce == "{nonce}" '
+        f'&& date == "{date}" -> "true";',
+    )
+
+
+def _text_guarantor(guarantor, payer_key, limit, expiry, app_domain):
+    bound = Money(limit.cents + 1, limit.currency)
+    return build_credential(
+        guarantor.public_id,
+        f'"{payer_key}"',
+        f'app_domain == "{app_domain}" && currency == "{limit.currency}" '
+        f"&& &amount < {bound.as_decimal_str()} "
+        f'&& date < "{expiry}" -> "true";',
+    )
+
+
+def _text_offer(isp, link_name, bandwidth_mbps, min_price, valid_until, unbundling_allowed,
+                qos_class, path_hint, app_domain):
+    parts = [
+        f'app_domain == "{app_domain}"',
+        f'currency == "{min_price.currency}"',
+        f'link_name == "{link_name}"',
+    ]
+    if unbundling_allowed:
+        floor = Money(prorated_cents(min_price.cents, 1, bandwidth_mbps), min_price.currency)
+        parts.append(f'&bandwidth <= "{bandwidth_mbps}Mbps"')
+        parts.append(f'min_price == "{min_price.as_decimal_str()}"')
+    else:
+        floor = min_price
+        parts.append(f"&bandwidth == {bandwidth_mbps}")
+    parts.append(f"&amount >= {floor.as_decimal_str()}")
+    parts.append(f'date < "{valid_until}"')
+    if qos_class != QOS_RESERVED:
+        parts.append(f'qos_class == "{qos_class}"')
+    if path_hint:
+        parts.append(f'path_hint == "{",".join(path_hint)}"')
+    return build_credential(isp.public_id, "", " && ".join(parts) + ' -> "true";')
+
+
+def _text_reservation(isp, res, app_domain):
+    return build_credential(
+        isp.public_id,
+        f'"{res.customer_key}"',
+        f'app_domain == "{app_domain}" '
+        f'&& reservation_id == "{res.reservation_id}" '
+        f'&& link_names == "{",".join(res.link_names)}" '
+        f"&& &bandwidth == {res.bandwidth_mbps} "
+        f'&& starts == "{text_of_instant(res.start)}" '
+        f'&& ends == "{text_of_instant(res.end)}" -> "true";',
+    )
+
+
+def _same(built, text_built, pair):
+    signed = sign_credential(text_built, pair)
+    assert built == signed
+    assert canonical_bytes(built) == canonical_bytes(signed)
+    assert built.text() == signed.text()
+
+
+# Values the text path could carry: no quote, no backslash, no line break.
+_VALUES = st.text(
+    st.characters(blacklist_categories=("Cc", "Zl", "Zp", "Cs"), blacklist_characters='"\\')
+    | st.sampled_from(list("#&|=!<>-();,._aZ09 \t")),
+    max_size=12,
+)
+_DATES = st.dates().map(lambda d: f"{d.year:04d}{d.month:02d}{d.day:02d}")
+_CENTS = st.integers(min_value=1, max_value=10 ** 9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_PAIRS), st.sampled_from(_KEYS), _CENTS, _VALUES,
+       _VALUES.map(lambda v: "n" * 12 + v), _DATES, _VALUES)
+def test_structural_check_equals_text_built(pair, merchant, cents, currency, nonce, date,
+                                            domain):
+    amount = Money(cents, currency)
+    built = Wallet(pair, app_domain=domain).write_check(merchant, amount, nonce, date)
+    _same(built, _text_check(pair, merchant, amount, nonce, date, domain), pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_PAIRS), st.sampled_from(_KEYS), _CENTS, _VALUES, _DATES, _VALUES)
+def test_structural_guarantor_equals_text_built(guarantor, payer, cents, currency, expiry,
+                                                domain):
+    limit = Money(cents, currency)
+    built = issue_guarantor_credential(guarantor, payer, limit, expiry, app_domain=domain)
+    _same(built, _text_guarantor(guarantor, payer, limit, expiry, domain), guarantor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_PAIRS), _VALUES, st.integers(min_value=1, max_value=10 ** 5), _CENTS,
+       _VALUES, _DATES, st.booleans(), st.sampled_from([QOS_RESERVED, QOS_PREMIUM]),
+       st.lists(_VALUES, max_size=3).map(tuple), _VALUES)
+def test_structural_offer_equals_text_built(isp, link, mbps, cents, currency, until, unbundle,
+                                            qos, hint, domain):
+    price = Money(cents, currency)
+    built = make_offer_credential(isp, link, mbps, price, until, unbundle, qos, hint, domain)
+    text_built = _text_offer(isp, link, mbps, price, until, unbundle, qos, hint, domain)
+    _same(built, text_built, isp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_PAIRS), st.sampled_from(_KEYS), _VALUES,
+       st.lists(_VALUES, min_size=1, max_size=3), st.integers(min_value=1, max_value=10 ** 5),
+       st.integers(min_value=0, max_value=2 ** 33), st.integers(min_value=1, max_value=10 ** 7),
+       _VALUES)
+def test_structural_reservation_equals_text_built(isp, customer, res_id, links, mbps, start,
+                                                  length, domain):
+    res = Reservation(res_id, "notional", isp.public_id.canonical(),
+                      tuple(("ne", "ne", name) for name in links), mbps, start, start + length,
+                      customer)
+    built = make_reservation_credential(isp, res, domain)
+    _same(built, _text_reservation(isp, res, domain), isp)
+
+
+def test_a_quote_in_a_value_stays_inside_one_literal():
+    isp = _PAIRS[0]
+    link = 'Rome-Paris" && qos_class == "premium_best_effort\\'
+    offer = make_offer_credential(isp, link, 50, Money(300), "20031125")
+    plain = make_offer_credential(isp, "Rome-Paris", 50, Money(300), "20031125")
+    assert pins(offer)["link_name"] == link
+    assert "qos_class" not in pins(offer)
+    assert len(conjuncts(offer)) == len(conjuncts(plain))
+    assert parse_credential(offer.text()) == offer
+    with pytest.raises(ValueError):
+        make_offer_credential(isp, "Rome-Paris\nConditions: x", 50, Money(300), "20031125")
+
+
+# ---------------------------------------------------------------------------
 # Garbage
 # ---------------------------------------------------------------------------
 
@@ -323,6 +472,17 @@ def _parse_outcome(parse, text: str) -> tuple:
     return cred, canonical_bytes(cred), cred.source_text
 
 
+def _policy_texts(tag: str, count: int) -> list[str]:
+    """`count` distinct well-formed texts, cheap to parse."""
+    return [
+        f'Keynote-Version: 2\nAuthorizer: POLICY\nLicensees:\nConditions: {tag} == "{i}";\n'
+        for i in range(count)
+    ]
+
+
+_BOUND = parse_credential.cache_info().maxsize
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.one_of(_CREDENTIALS.map(render_credential), st.sampled_from(_BUNDLED)),
@@ -334,9 +494,10 @@ def test_parse_memo_matches_a_fresh_parse(text, cut):
         text = text[:cut] + text[cut + 1:]
     fresh = _parse_outcome(_parse_credential, text)
     assert _parse_outcome(parse_credential, text) == fresh
-    assert _parse_outcome(parse_credential, text) == fresh  # a success is now a hit
-    if isinstance(fresh[0], Credential):
-        assert text in credentials._parsed
+    hits = parse_credential.cache_info().hits
+    assert _parse_outcome(parse_credential, text) == fresh
+    # A success is now a hit; a failure was not kept.
+    assert parse_credential.cache_info().hits == hits + isinstance(fresh[0], Credential)
 
 
 @pytest.mark.parametrize("text, error", [
@@ -344,8 +505,8 @@ def test_parse_memo_matches_a_fresh_parse(text, cut):
      CredentialSyntaxError),
     ("Keynote-Version: 3\nAuthorizer: POLICY\nLicensees:\n", UnknownVersion),
 ])
-def test_malformed_text_fails_alike_every_time_and_is_not_kept(monkeypatch, text, error):
-    monkeypatch.setattr(credentials, "_parsed", {})
+def test_malformed_text_fails_alike_every_time_and_is_not_kept(text, error):
+    parse_credential.cache_clear()
     raised = []
     for _ in range(2):
         with pytest.raises(error) as info:
@@ -353,40 +514,51 @@ def test_malformed_text_fails_alike_every_time_and_is_not_kept(monkeypatch, text
         exc = info.value
         raised.append((str(exc), getattr(exc, "position", None), getattr(exc, "expected", None)))
     assert raised[0] == raised[1]
-    assert credentials._parsed == {}
+    info = parse_credential.cache_info()
+    assert (info.hits, info.currsize) == (0, 0)
 
 
-def test_parse_memo_keeps_the_newest_entries_up_to_its_bound(monkeypatch):
-    monkeypatch.setattr(credentials, "_parsed", {})
-    bound = credentials._PARSE_MEMO_SIZE
-    texts = [
-        f'Keynote-Version: 2\nAuthorizer: POLICY\nLicensees:\nConditions: n == "{i}";\n'
-        for i in range(bound + 40)
-    ]
+def test_parse_memo_keeps_the_newest_entries_up_to_its_bound():
+    parse_credential.cache_clear()
+    texts = _policy_texts("n", _BOUND + 40)
     for text in texts:
         parse_credential(text)
-        assert len(credentials._parsed) <= bound
-    assert list(credentials._parsed) == texts[-bound:]
+        assert parse_credential.cache_info().currsize <= _BOUND
+    for text in texts[-_BOUND:]:
+        parse_credential(text)
+    assert parse_credential.cache_info().hits == _BOUND
+    for text in texts[:40]:
+        parse_credential(text)
+    assert parse_credential.cache_info().hits == _BOUND
 
 
-def test_parse_memo_stays_bounded_and_exact_under_threads(monkeypatch):
+def test_parse_memo_keeps_a_text_in_use_past_its_bound():
+    parse_credential.cache_clear()
+    kept = _policy_texts("kept", 1)[0]
+    parse_credential(kept)
+    for text in _policy_texts("newer", _BOUND):
+        parse_credential(text)
+        hits = parse_credential.cache_info().hits
+        parse_credential(kept)
+        assert parse_credential.cache_info().hits == hits + 1
+
+
+def test_parse_memo_stays_bounded_and_exact_under_threads():
     pair = generate_keypair("parse-memo:threads")
     signed = [
         sign_credential(build_credential(pair.public_id, "", f'n == "{i}";'), pair).text()
         for i in range(8)
     ]
-    texts = signed + [  # cheap to parse, so threads often meet in the memo
-        f'Keynote-Version: 2\nAuthorizer: POLICY\nLicensees:\nConditions: n == "{i}";\n'
-        for i in range(40)
-    ]
+    # Cheap to parse, so threads often meet in the memo, and more of
+    # them than it holds, so they also meet in its eviction.
+    texts = signed + _policy_texts("n", _BOUND + 40)
     expected = [_parse_outcome(_parse_credential, t) for t in texts]
     broken = [t.replace("Licensees:", "Licensees: (") for t in texts]
-    monkeypatch.setattr(credentials, "_parsed", {})
-    monkeypatch.setattr(credentials, "_PARSE_MEMO_SIZE", 4)
+    parse_credential.cache_clear()
     wrong: list = []
 
     def worker(offset: int) -> None:
-        for k in range(5 * len(texts)):
+        for k in range(3 * len(texts)):
             i = (k + offset) % len(texts)
             try:
                 if _parse_outcome(parse_credential, texts[i]) != expected[i]:
@@ -395,13 +567,13 @@ def test_parse_memo_stays_bounded_and_exact_under_threads(monkeypatch):
                 wrong.append(f"broken {i} parsed")
             except CredentialSyntaxError:
                 pass
-            except Exception as exc:  # a lost update surfaces as a KeyError
+            except Exception as exc:  # any other error is a fault of the memo
                 wrong.append(exc)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(7 * t,)) for t in range(6)]
+        threads = [threading.Thread(target=worker, args=(37 * t,)) for t in range(6)]
         for t in threads:
             t.start()
         for t in threads:
@@ -410,4 +582,4 @@ def test_parse_memo_stays_bounded_and_exact_under_threads(monkeypatch):
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert len(credentials._parsed) <= 4
+    assert parse_credential.cache_info().currsize <= _BOUND

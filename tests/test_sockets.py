@@ -3,6 +3,7 @@ final-state equivalence with the in-process bus."""
 
 from __future__ import annotations
 
+import gc
 import socket
 import threading
 from dataclasses import replace
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from bandx.cli import main
 from bandx.envelope import MAX_PAYLOAD, Envelope, ProtocolError, decode, encode, read_envelope
 from bandx.scenario import build_services, parse_scenario, run_parsed
 from bandx.services import SocketTransport, serve
@@ -131,6 +133,23 @@ def test_unknown_message_type_over_socket(live_world):
     reply = transport.send("csc", "BOGUS-VERB")
     assert reply.msg_type == "ERROR" and reply.get("code") == "protocol"
     transport.close()
+
+
+def test_cli_verbs_close_their_sockets(live_world, capsys):
+    """A verb that leaves its connections open fails here: the unclosed
+    socket's ResourceWarning is an error in this suite."""
+    _scn, _services, endpoints = live_world
+    flag = {role: f"--{role}={host}:{port}" for role, (host, port) in endpoints.items()}
+    now = "--now=20031119T080000"
+    for argv in (
+        ["report", flag["ch"], flag["isp"], flag["csc"]],
+        ["search", "--from=Rome", "--to=Dublin", "--mbps=10", flag["ch"], now],
+        ["deposit", flag["isp"], flag["csc"], now],
+    ):
+        assert main(argv) == 0, capsys.readouterr().err
+        gc.collect()
+    out = capsys.readouterr().out
+    assert "ch offers=0" in out and "accepted=0 rejected=0" in out
 
 
 def _read_one(rfile) -> bytes:
