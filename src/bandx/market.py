@@ -1,22 +1,47 @@
 """The clearing house: a passive repository of offer credentials and a
 path composer over them.
 
-The store is a pure function of the posted credential set, so any number
-of clearing-house instances fed the same postings serve identical
-results. It never signs anything and holds no money. Writes are
-serialized and replace an immutable snapshot, so concurrent readers
-always observe a consistent store.
+The store is a pure function of the posted credentials and the clock,
+so any number of clearing-house instances fed the same postings and
+ticks serve identical results. It never signs anything and holds no
+money. An offer is live while today < valid_until: posting refuses an
+offer on or after the day its validity bound names, and a tick to that
+day expires it.
+
+The store is indexed three ways, all written under one lock:
+  rows    per link (link_from -> link_to), an immutable tuple of
+          (unit price, offer id, offer) in ascending order; the unit
+          price is the exact Fraction(min_price cents, bandwidth),
+          computed once at post
+  expiry  a heap of (valid_until, offer id)
+  ids     offer id -> offer, for `get`, `len` and idempotent posts
+
+A post is a bisect into one row plus a copy of that row and of its
+node's outgoing map; a tick pops the heap, so it costs the offers it
+expires and nothing when none do; a query walks the row of each link it
+reaches until the stop rule in `compose_path` ends it.
+
+Snapshot guarantee: a write never changes a published row or outgoing
+map; it publishes fresh ones for the one node it touches. A reader
+therefore sees each row whole, as it stood at some instant of its call.
+A query that runs while writes land may see them on some links and not
+on others: every offer it serves was in the store during the call, and
+every plan it returns validates.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
+from bisect import bisect
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .credentials import Credential
-from .money import Money
+from .money import Money, is_date
 from .offers import Offer, open_offer, validate_unbundling
+
+Row = tuple[tuple[Fraction, str, Offer], ...]
 
 
 class Expired(Exception):
@@ -39,6 +64,8 @@ class OfferQuery:
     def __post_init__(self) -> None:
         if self.min_bandwidth_mbps <= 0:
             raise ValueError("min_bandwidth_mbps must be positive")
+        if not is_date(self.needed_on):
+            raise ValueError(f"needed_on must be a YYYYMMDD date, got {self.needed_on!r}")
         if self.max_total_price is not None:
             object.__setattr__(self, "currency", self.max_total_price.currency)
 
@@ -70,7 +97,9 @@ class PathPlan:
 
 class ClearingHouse:
     def __init__(self) -> None:
-        self._offers: dict[str, Offer] = {}
+        self._links: dict[str, dict[str, Row]] = {}  # link_from -> link_to -> row
+        self._expiry: list[tuple[str, str]] = []
+        self._ids: dict[str, Offer] = {}
         self._write_lock = threading.Lock()
 
     def post_offer(self, cred: Credential, now: str) -> Offer:
@@ -79,18 +108,34 @@ class ClearingHouse:
         offer = open_offer(cred)
         if offer.valid_until <= now:
             raise Expired(f"offer expired {offer.valid_until}, posting at {now}")
+        entry = (Fraction(offer.min_price.cents, offer.bandwidth_mbps), offer.offer_id, offer)
         with self._write_lock:
-            if offer.offer_id not in self._offers:
-                store = dict(self._offers)
-                store[offer.offer_id] = offer
-                self._offers = store
+            if offer.offer_id not in self._ids:
+                row = self._links.get(offer.link_from, {}).get(offer.link_to, ())
+                at = bisect(row, entry)  # ids are unique, so offers are never compared
+                self._publish(offer.link_from, offer.link_to, row[:at] + (entry,) + row[at:])
+                heapq.heappush(self._expiry, (offer.valid_until, offer.offer_id))
+                self._ids[offer.offer_id] = offer
         return offer
 
     def __len__(self) -> int:
-        return len(self._offers)
+        return len(self._ids)
 
     def get(self, offer_id: str) -> Offer | None:
-        return self._offers.get(offer_id)
+        return self._ids.get(offer_id)
+
+    def _publish(self, link_from: str, link_to: str, row: Row) -> None:
+        """Replace one row, copying only its node's outgoing map: a
+        published row or map is never changed, so readers need no lock."""
+        out = dict(self._links.get(link_from, {}))
+        if row:
+            out[link_to] = row
+        else:
+            del out[link_to]
+        if out:
+            self._links[link_from] = out
+        else:
+            del self._links[link_from]
 
     def _eligible(self, offer: Offer, q: OfferQuery) -> bool:
         if offer.valid_until <= q.needed_on:
@@ -102,30 +147,46 @@ class ClearingHouse:
         return validate_unbundling(offer, q.min_bandwidth_mbps)
 
     def query_offers(self, q: OfferQuery) -> list[Offer]:
-        """Unexpired offers on the queried link that can sell the
-        requested bandwidth, cheapest first, ties by offer id."""
-        snapshot = self._offers
-        found = [
-            o
-            for o in snapshot.values()
-            if o.link_from == q.link_from and o.link_to == q.link_to and self._eligible(o, q)
-        ]
-        found.sort(key=lambda o: (o.min_price.cents, o.offer_id))
-        if q.max_total_price is not None:
-            cap = q.max_total_price.cents
-            found = [
-                o for o in found
-                if o.prorated_price(q.min_bandwidth_mbps).cents <= cap
-            ]
-        return found
+        """Eligible offers on the queried link, cheapest first at the
+        requested bandwidth (prorated price), ties by offer id. With a
+        price cap the row walk stops at the first offer above it: the
+        prorated price never falls along a row (see `compose_path`)."""
+        mbps = q.min_bandwidth_mbps
+        cap = q.max_total_price.cents if q.max_total_price is not None else None
+        found = []
+        for _unit, offer_id, offer in self._links.get(q.link_from, {}).get(q.link_to, ()):
+            price = offer.prorated_price(mbps).cents
+            if cap is not None and price > cap:
+                break
+            if self._eligible(offer, q):
+                found.append((price, offer_id, offer))
+        found.sort()  # nearly sorted already; ids are unique
+        return [offer for _, _, offer in found]
 
     def expire_offers(self, now: str) -> int:
-        """Drop offers whose validity bound has passed; returns the count."""
+        """Drop offers that are no longer live (valid_until <= now);
+        returns the count."""
         with self._write_lock:
-            keep = {oid: o for oid, o in self._offers.items() if not o.valid_until < now}
-            removed = len(self._offers) - len(keep)
-            self._offers = keep
-        return removed
+            gone: dict[tuple[str, str], set[str]] = {}
+            while self._expiry and self._expiry[0][0] <= now:
+                offer = self._ids.pop(heapq.heappop(self._expiry)[1])
+                gone.setdefault((offer.link_from, offer.link_to), set()).add(offer.offer_id)
+            for (link_from, link_to), ids in gone.items():
+                row = self._links[link_from][link_to]
+                self._publish(link_from, link_to, tuple(e for e in row if e[1] not in ids))
+            return sum(map(len, gone.values()))
+
+    def _cheapest(self, row: Row, q: OfferQuery) -> tuple[int, str, Offer] | None:
+        """The least (prorated price, offer id) eligible offer of a row."""
+        mbps = q.min_bandwidth_mbps
+        best = None
+        for _unit, offer_id, offer in row:
+            price = offer.prorated_price(mbps).cents
+            if best is not None and price > best[0]:
+                break
+            if self._eligible(offer, q) and (best is None or (price, offer_id) < best[:2]):
+                best = (price, offer_id, offer)
+        return best
 
     def compose_path(self, q: OfferQuery) -> PathPlan:
         """Minimum-total-price plan over the offer graph (nodes are
@@ -133,16 +194,33 @@ class ClearingHouse:
         lexicographic offer-id sequence. The purchased bandwidth is
         constant along the plan; feasibility is edge-local because
         bandwidth does not add up along a path. Raises NoPath when the
-        endpoints cannot be connected (or only above max_total_price)."""
+        endpoints cannot be connected (or only above max_total_price).
+
+        Only one edge per link enters the search: the eligible offer
+        with the least (prorated price, offer id), found by walking the
+        link's row in unit-price order until this stop rule ends it.
+
+        - Stop rule. For a purchase of m Mbps an offer of c cents for
+          b Mbps costs ceil(c·m/b) = ceil((c/b)·m), which never falls
+          as the unit price c/b rises. Once an offer's prorated price
+          exceeds the best eligible price found so far, every later
+          offer of the row, eligible or not, costs at least as much, so
+          none can win. Offers whose unit prices differ but round to
+          the same prorated price do not stop the walk: a later one may
+          carry a smaller id.
+        - One edge per link suffices. A parallel offer with a larger
+          (price, id) never lies on the least (price, id-sequence)
+          plan: swapping in the better offer of the same link keeps the
+          node sequence, and either lowers the total price, or keeps it
+          and lowers the id sequence at that hop with the prefix
+          unchanged.
+
+        A node already settled is not expanded again: every edge
+        costs at least one minor unit, so a later candidate for it is
+        worse than the (price, ids) it was settled with."""
         if q.link_from == q.link_to:
             raise NoPath("degenerate query: identical endpoints")
-        snapshot = self._offers
-        edges: dict[str, list[tuple[int, str, Offer]]] = {}
-        for offer in snapshot.values():
-            if self._eligible(offer, q):
-                price = offer.prorated_price(q.min_bandwidth_mbps).cents
-                edges.setdefault(offer.link_from, []).append((price, offer.offer_id, offer))
-
+        links = self._links
         best: dict[str, tuple[int, tuple[str, ...]]] = {}
         heap: list[tuple[int, tuple[str, ...], str, tuple]] = [
             (0, (), q.link_from, ())
@@ -160,25 +238,33 @@ class ClearingHouse:
                 if q.max_total_price is not None and price > q.max_total_price.cents:
                     raise NoPath("cheapest plan exceeds the price cap")
                 return plan
-            for edge_price, oid, offer in edges.get(node, ()):  # noqa: B020
-                nxt = offer.link_to
-                cand = (price + edge_price, ids + (oid,))
-                if nxt in best and best[nxt] <= cand:
+            for nxt, row in links.get(node, {}).items():
+                if nxt in best:
                     continue
-                heapq.heappush(heap, (cand[0], cand[1], nxt, segs + (offer,)))
+                edge = self._cheapest(row, q)
+                if edge is not None:
+                    edge_price, offer_id, offer = edge
+                    heapq.heappush(
+                        heap, (price + edge_price, ids + (offer_id,), nxt, segs + (offer,))
+                    )
         raise NoPath(f"no offer path from {q.link_from} to {q.link_to}")
 
     def export_offers(self) -> str:
         """Newline-separated credential blocks for replication."""
-        snapshot = self._offers
-        ordered = sorted(snapshot.values(), key=lambda o: o.offer_id)
+        ordered = sorted(self._ids.copy().values(), key=lambda o: o.offer_id)
         return "\n".join(o.credential.text() for o in ordered)
 
     def import_offers(self, text: str, now: str) -> int:
+        """Post every live offer of an export; returns how many were
+        live. An offer no longer live at `now` is skipped, as the
+        source's next tick would drop it."""
         from .credentials import parse_credential_blocks
 
         count = 0
         for cred in parse_credential_blocks(text):
-            self.post_offer(cred, now)
+            try:
+                self.post_offer(cred, now)
+            except Expired:
+                continue
             count += 1
         return count

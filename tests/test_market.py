@@ -7,16 +7,22 @@ import random
 
 import pytest
 
-from bandx.credentials import BadSignature, parse_credential, render_credential
+from bandx.credentials import (
+    BadSignature,
+    parse_credential,
+    parse_credential_blocks,
+    render_credential,
+)
 from bandx.keys import generate_keypair
 from bandx.market import ClearingHouse, Expired, NoPath, OfferQuery
-from bandx.money import Money
+from bandx.money import Money, instant_from_text
 from bandx.offers import (
     MalformedOffer,
     make_offer_credential,
     open_offer,
     validate_unbundling,
 )
+from bandx.services import Bus, ClearingHouseService
 
 from helpers import brute_force_best_plan, random_market
 
@@ -148,12 +154,56 @@ def test_expired_offers_never_served_after_sweep():
     rng = random.Random(17)
     for _ in range(20):
         house, offers, locations, _ = random_market(rng)
-        sweep = rng.choice(["20031201", "20040101", "20031119"])
+        sweep = rng.choice(["20031201", "20040101", "20031119", "20031231"])
         house.expire_offers(sweep)
-        for o in house._offers.values():
-            assert not o.valid_until < sweep
+        live = {o.offer_id for o in offers if o.valid_until > sweep}
+        assert len(house) == len(live)
+        assert all((house.get(o.offer_id) is not None) == (o.offer_id in live) for o in offers)
+        exported = parse_credential_blocks(house.export_offers())
+        assert sorted(open_offer(c).offer_id for c in exported) == sorted(live)
         q = OfferQuery(locations[0], locations[-1], 10, needed_on="20040101")
         assert house.query_offers(q) == []  # all offers expire 20031231
+
+
+def test_query_orders_by_price_at_the_requested_bandwidth():
+    house = ClearingHouse()
+    small = house.post_offer(_offer(mbps=20, cents=500), NOW)  # $2.50 for 10 Mbps
+    large = house.post_offer(_offer(mbps=100, cents=1000), NOW)  # $1.00 for 10 Mbps
+    got = house.query_offers(OfferQuery("Dublin", "NYC", 10, NOW))
+    assert [o.offer_id for o in got] == [large.offer_id, small.offer_id]
+    capped = OfferQuery("Dublin", "NYC", 10, NOW, max_total_price=Money(100))
+    assert [o.offer_id for o in house.query_offers(capped)] == [large.offer_id]
+
+
+def test_offers_that_round_to_one_price_are_ordered_by_id():
+    # At 10 Mbps each of these costs 101 cents, from six different unit
+    # prices; the row walk must read on past equal prices to find the
+    # least id.
+    sizes = [(100, 1001), (20, 201), (50, 503), (100, 1010), (10, 101), (50, 505)]
+    house = ClearingHouse()
+    offers = [house.post_offer(_offer(ISP_A, "Rome-Dublin", mbps, cents), NOW)
+              for mbps, cents in sizes]
+    assert {o.prorated_price(10).cents for o in offers} == {101}
+    house.post_offer(_offer(ISP_B, "Rome-Dublin", 100, 1011), NOW)  # 102: ends the walk
+    ids = sorted(o.offer_id for o in offers)
+    assert ids[0] != offers[0].offer_id  # the cheapest unit price is not the answer
+    plan = house.compose_path(OfferQuery("Rome", "Dublin", 10, NOW))
+    assert [o.offer_id for o, _ in plan.segments] == ids[:1]
+    assert plan.total_price == Money(101)
+    listed = house.query_offers(OfferQuery("Rome", "Dublin", 10, NOW))
+    assert [o.offer_id for o in listed][:6] == ids
+
+
+def test_needed_on_must_be_a_calendar_date():
+    house = ClearingHouse()
+    house.post_offer(_offer(), NOW)
+    bus = Bus({"ch": ClearingHouseService(house, instant_from_text(NOW))})
+    fields = {"from": "Dublin", "to": "NYC", "bandwidth": "50"}
+    assert bus.send("ch", "COMPOSE", {**fields, "needed_on": NOW}).msg_type == "PLAN"
+    for needed_on in ("2003111", "zzzz", "20031199"):
+        for verb in ("QUERY", "COMPOSE"):
+            reply = bus.send("ch", verb, {**fields, "needed_on": needed_on})
+            assert (reply.msg_type, reply.get("code")) == ("ERROR", "invalid"), needed_on
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +305,18 @@ def test_replicated_stores_serve_identical_results():
         o.offer_id for o in house.query_offers(q)
     ]
     assert len(clone) == len(house)
+
+
+def test_replica_equals_source_on_an_offer_last_day():
+    house = ClearingHouse()
+    house.post_offer(_offer(expiry="20031120", cents=300), NOW)
+    house.post_offer(_offer(expiry="20040101", cents=400), NOW)
+    last_day = "20031120"  # the first day the first offer is not live
+    stale = ClearingHouse()
+    assert stale.import_offers(house.export_offers(), last_day) == 1  # skipped, not aborted
+    assert house.expire_offers(last_day) == 1
+    clone = ClearingHouse()
+    assert clone.import_offers(house.export_offers(), last_day) == 1
+    for replica in (stale, clone):
+        assert replica.export_offers() == house.export_offers()
+        assert len(replica) == len(house) == 1
