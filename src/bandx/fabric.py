@@ -22,6 +22,13 @@ never exceeds capacity. Futures are charged at booking time, which is
 the only reading under which activation of a committed booking can be
 made infallible.
 
+One lifecycle: a `notional` booking becomes `active` at activation; a
+live reservation ends `expired` at its end or teardown, or `lapsed` at a
+keepalive due before its end. Segment NEs file the `Reservation` in
+`calendar` or `active_rows` by state; every NE of the owning provider
+looks it up in `Fabric.reservations`. Expiry pops per-NE heaps of
+deadlines, so a tick reads only the reservations that are due.
+
 Known gap: when a multi-provider purchase fails at a later provider, the
 earlier providers' capacity is released via teardown but their already
 accepted checks stay queued; the money side of a partial establishment
@@ -182,6 +189,15 @@ class Reservation:
     @property
     def link_names(self) -> tuple[str, ...]:
         return tuple(name for _, _, name in self.segments)
+
+    @property
+    def deadline(self) -> int | None:
+        """End, or an earlier keepalive due date; None once ended."""
+        if self.state not in (NOTIONAL, ACTIVE):
+            return None
+        if self.next_payment_due is None:
+            return self.end
+        return min(self.end, self.next_payment_due)
 
 
 @dataclass(frozen=True)
@@ -384,22 +400,22 @@ class NetworkElement:
     keepalive_period: int | None = None
     keepalive_price: Money | None = None
     links: dict[str, Link] = field(default_factory=dict)
+    # Per outgoing link, reservation id -> Reservation for each segment
+    # this NE carries: ACTIVE ones in active_rows, NOTIONAL ones in
+    # calendar. Only _hold and _drop change them.
     active_rows: dict[str, dict[str, Reservation]] = field(default_factory=dict)
-    calendar: dict[str, dict[str, tuple[int, int, int]]] = field(default_factory=dict)
-    bookings: dict[str, Reservation] = field(default_factory=dict)
-    active_load: dict[str, int] = field(default_factory=dict)
+    calendar: dict[str, dict[str, Reservation]] = field(default_factory=dict)
     challenges: dict[str, Challenge] = field(default_factory=dict)
     used_challenges: set[str] = field(default_factory=set)
     outbox: list[TransactionRecord] = field(default_factory=list)
-    # Admission index, kept in step with active_rows and calendar by
-    # _charge_active/_release_active and _book/_unbook alone.
+    # Admission index: the load of every held row that is not premium
+    # best-effort, kept in step with the tables by _hold and _drop.
     timelines: dict[str, LoadTimeline] = field(default_factory=dict, repr=False)
-    # Heaps of (end, neighbor, reservation_id) per calendar row and of
-    # (issued_at + ttl, challenge_id) per issued challenge; an entry whose
-    # row or challenge is already gone is skipped when it is popped.
-    _calendar_ends: list[tuple[int, str, str]] = field(
-        default_factory=list, init=False, repr=False
-    )
+    # Heaps of (deadline, reservation_id) per reservation this NE admitted,
+    # activated or kept alive, and of (issued_at + ttl, challenge_id) per
+    # issued challenge. A popped reservation entry whose deadline has
+    # since moved, or a challenge already gone, is skipped.
+    _deadlines: list[tuple[int, str]] = field(default_factory=list, init=False, repr=False)
     _challenge_ends: list[tuple[int, str]] = field(
         default_factory=list, init=False, repr=False
     )
@@ -412,7 +428,6 @@ class NetworkElement:
         self.links[neighbor] = Link(neighbor, link_name, capacity_mbps)
         self.active_rows.setdefault(neighbor, {})
         self.calendar.setdefault(neighbor, {})
-        self.active_load.setdefault(neighbor, 0)
         self.timelines.setdefault(neighbor, LoadTimeline())
 
     # -- challenges ---------------------------------------------------------
@@ -462,39 +477,35 @@ class NetworkElement:
             return False
         return self._window_load(neighbor, start, end) + mbps <= link.capacity_mbps
 
-    def _charge_active(self, neighbor: str, res: Reservation) -> None:
-        rows = self.active_rows[neighbor]
+    def _table(self, neighbor: str, res: Reservation) -> dict[str, Reservation]:
+        return (self.calendar if res.state == NOTIONAL else self.active_rows)[neighbor]
+
+    def _hold(self, neighbor: str, res: Reservation) -> None:
+        """File the reservation on the link in the table of its state and
+        charge it on the timeline unless it is premium best-effort."""
+        rows = self._table(neighbor, res)
         if res.reservation_id in rows:
             return
         rows[res.reservation_id] = res
         if res.qos_class != QOS_PREMIUM:
-            self.active_load[neighbor] += res.bandwidth_mbps
             self.timelines[neighbor].add(res.start, res.end, res.bandwidth_mbps)
 
-    def _release_active(self, neighbor: str, reservation_id: str) -> None:
-        row = self.active_rows[neighbor].pop(reservation_id, None)
-        if row is not None and row.qos_class != QOS_PREMIUM:
-            self.active_load[neighbor] -= row.bandwidth_mbps
-            self.timelines[neighbor].drop(row.start, row.end, row.bandwidth_mbps)
-
-    def _book(self, neighbor: str, res: Reservation) -> None:
-        entries = self.calendar[neighbor]
-        if res.reservation_id in entries:
+    def _drop(self, neighbor: str, res: Reservation) -> None:
+        if self._table(neighbor, res).pop(res.reservation_id, None) is None:
             return
-        entries[res.reservation_id] = (res.start, res.end, res.bandwidth_mbps)
-        self.bookings[res.reservation_id] = res
-        self.timelines[neighbor].add(res.start, res.end, res.bandwidth_mbps)
-        heapq.heappush(self._calendar_ends, (res.end, neighbor, res.reservation_id))
+        if res.qos_class != QOS_PREMIUM:
+            self.timelines[neighbor].drop(res.start, res.end, res.bandwidth_mbps)
 
-    def _unbook(self, neighbor: str, reservation_id: str) -> None:
-        row = self.calendar[neighbor].pop(reservation_id, None)
-        self.bookings.pop(reservation_id, None)
-        if row is not None:
-            self.timelines[neighbor].drop(*row)
+    def _watch(self, res: Reservation) -> None:
+        heapq.heappush(self._deadlines, (res.deadline, res.reservation_id))
 
     def free_capacity(self, neighbor: str) -> int:
-        link = self.links[neighbor]
-        return link.capacity_mbps - self.active_load[neighbor]
+        """Capacity not taken by the link's active reserved-class rows."""
+        held = sum(
+            r.bandwidth_mbps for r in self.active_rows[neighbor].values()
+            if r.qos_class != QOS_PREMIUM
+        )
+        return self.links[neighbor].capacity_mbps - held
 
     # -- admission: spot and futures ----------------------------------------
 
@@ -635,55 +646,58 @@ class NetworkElement:
         return BoundaryReferral(outcome, at, next_isp, next_ne, remaining)
 
     def _claim(self, res: Reservation) -> None:
-        """Charge an ACTIVE reservation, or book a NOTIONAL one, on every
-        segment NE or on none of them: the first link that cannot carry
-        it releases what the earlier segments took."""
-        booking = res.state == NOTIONAL
+        """Hold the reservation on every segment NE or on none of them:
+        the first link that cannot carry it releases what the earlier
+        segments took. Premium best-effort rows are neither checked nor
+        charged; bookings are always reserved-class."""
         for from_ne, to_ne, _name in res.segments:
             ne = self.fabric.ne(from_ne)
-            if (booking or res.qos_class != QOS_PREMIUM) and not ne._can_carry(
+            if res.qos_class != QOS_PREMIUM and not ne._can_carry(
                 to_ne, res.bandwidth_mbps, res.start, res.end
             ):
                 self._release(res)
-                if booking:
+                if res.state == NOTIONAL:
                     raise CapacityExhausted(
                         f"future interval oversubscribed on {from_ne}->{to_ne}"
                     )
                 raise CapacityExhausted(
                     f"link {from_ne}->{to_ne} cannot carry {res.bandwidth_mbps}Mbps"
                 )
-            (ne._book if booking else ne._charge_active)(to_ne, res)
+            ne._hold(to_ne, res)
+        self._watch(res)
 
     def _release(self, res: Reservation) -> None:
-        """Give back the reservation's charge (ACTIVE) or booking
-        (NOTIONAL) on every segment NE; a segment that holds none of it
-        is left as it is."""
-        release = (
-            NetworkElement._unbook if res.state == NOTIONAL else NetworkElement._release_active
-        )
+        """Drop the reservation's rows, in the table of its current state,
+        on every segment NE; a segment that holds none is left as it is."""
         for from_ne, to_ne, _name in res.segments:
-            release(self.fabric.ne(from_ne), to_ne, res.reservation_id)
+            self.fabric.ne(from_ne)._drop(to_ne, res)
+
+    def _own(self, reservation_id: str, state: str) -> Reservation:
+        """This provider's reservation in the given state, whichever of
+        its NEs is asked; UnknownReservation otherwise."""
+        res = self.fabric.reservations.get(reservation_id)
+        if res is None or res.state != state or res.isp_key != self.isp_key:
+            raise UnknownReservation(reservation_id)
+        return res
 
     def activate_reservation(self, cred: Credential, now: int) -> Reservation:
         """Install the booked path. A committed booking activates
         unconditionally: its capacity was charged when it was booked."""
         fields = open_reservation_credential(cred)  # BadSignature on tamper
-        res = self.bookings.get(fields["reservation_id"])
-        if res is None or fields["isp_key"] != self.isp_key:
+        if fields["isp_key"] != self.isp_key:
             raise UnknownReservation(fields["reservation_id"])
+        res = self._own(fields["reservation_id"], NOTIONAL)
         if not fields["start"] <= now < fields["end"]:
             raise OutsideInterval(
                 f"activation at {now} outside [{res.start}, {res.end})"
             )
-        if res.state == ACTIVE:
-            return res
+        self._release(res)
         res.state = ACTIVE
         if self.keepalive_period:
             res.next_payment_due = now + self.keepalive_period
         for from_ne, to_ne, _name in res.segments:
-            ne = self.fabric.ne(from_ne)
-            ne._unbook(to_ne, res.reservation_id)
-            ne._charge_active(to_ne, res)
+            self.fabric.ne(from_ne)._hold(to_ne, res)
+        self._watch(res)
         return res
 
     # -- keepalive and expiry -----------------------------------------------
@@ -691,9 +705,7 @@ class NetworkElement:
     def keepalive_payment(self, reservation_id: str, check: Credential, now: int) -> int:
         """A verified periodic check pushes the payment due date out one
         period and queues the record for deposit."""
-        res = self._find_active(reservation_id)
-        if res is None:
-            raise UnknownReservation(reservation_id)
+        res = self._own(reservation_id, ACTIVE)
         if res.next_payment_due is None or self.keepalive_price is None:
             raise PaymentRefused("reservation is not payment-metered")
         if res.guarantor_credential is None:
@@ -703,6 +715,7 @@ class NetworkElement:
             self.isp_key, res.guarantor_credential, check, self.keepalive_price, date
         )
         res.next_payment_due += self.keepalive_period
+        self._watch(res)
         self.outbox.append(
             TransactionRecord(
                 offer=res.offer_credential,
@@ -715,36 +728,19 @@ class NetworkElement:
         )
         return res.next_payment_due
 
-    def _find_active(self, reservation_id: str) -> Reservation | None:
-        for rows in self.active_rows.values():
-            if reservation_id in rows:
-                return rows[reservation_id]
-        found = self.fabric.reservations.get(reservation_id)
-        if found is not None and found.state == ACTIVE and found.isp_key == self.isp_key:
-            return found
-        return None
-
     def expire_reservations(self, now: int) -> int:
-        """Transition reservations past their interval end to expired and
-        payment-lapsed ones to lapsed, releasing capacity; returns the
-        count of transitions performed by this call."""
+        """End each reservation whose deadline on this NE's heap has come,
+        `lapsed` if the keepalive fell due before the end, else `expired`;
+        returns how many. A clock set back finds nothing left to revive."""
         count = 0
-        seen: set[str] = set()
-        for rows in list(self.active_rows.values()):
-            for res in list(rows.values()):
-                if res.reservation_id in seen or res.state != ACTIVE:
-                    continue
-                seen.add(res.reservation_id)
-                if res.end <= now:
-                    self._teardown(res, EXPIRED)
-                    count += 1
-                elif res.next_payment_due is not None and res.next_payment_due <= now:
-                    self._teardown(res, LAPSED)
-                    count += 1
-        ends = self._calendar_ends
-        while ends and ends[0][0] <= now:
-            _end, neighbor, res_id = heapq.heappop(ends)
-            self._unbook(neighbor, res_id)
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][0] <= now:
+            deadline, res_id = heapq.heappop(deadlines)
+            res = self.fabric.reservations.get(res_id)
+            if res is None or res.deadline != deadline:
+                continue
+            self._teardown(res, LAPSED if deadline < res.end else EXPIRED)
+            count += 1
         self._prune_challenges(now)
         return count
 
@@ -938,24 +934,18 @@ class Fabric:
 
 def capacity_violations(fabric: Fabric) -> list[str]:
     """Full-state audit: recompute loads from the reservation tables and
-    report any link/instant over capacity, any stale incremental
-    counter, or an admission timeline that differs from the events the
-    tables imply. An empty list is a clean audit."""
+    report any link/instant over capacity, or an admission timeline that
+    differs from the events the tables imply. An empty list is a clean
+    audit."""
     problems: list[str] = []
     for ne_id in sorted(fabric.nes):
         ne = fabric.nes[ne_id]
         for neighbor, link in ne.links.items():
-            rows = [
-                r for r in ne.active_rows[neighbor].values() if r.qos_class != QOS_PREMIUM
+            intervals = [
+                (r.start, r.end, r.bandwidth_mbps)
+                for table in (ne.active_rows, ne.calendar)
+                for r in table[neighbor].values() if r.qos_class != QOS_PREMIUM
             ]
-            recomputed = sum(r.bandwidth_mbps for r in rows)
-            if recomputed != ne.active_load[neighbor]:
-                problems.append(
-                    f"{ne_id}->{neighbor}: counter {ne.active_load[neighbor]} "
-                    f"!= recomputed {recomputed}"
-                )
-            intervals = [(r.start, r.end, r.bandwidth_mbps) for r in rows]
-            intervals += list(ne.calendar[neighbor].values())
             events = sorted(
                 event for s, e, m in intervals for event in ((s, m), (e, -m))
             )

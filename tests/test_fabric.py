@@ -253,7 +253,7 @@ def test_full_interior_ne_aborts_whole_path():
         segments=(("A-Milan", "A-Paris", "Milan-Paris"),), bandwidth_mbps=200,
         start=world.now, end=world.now + DAY, customer_key="k",
     )
-    middle._charge_active("A-Paris", filler)
+    middle._hold("A-Paris", filler)
 
     ne = world.fabric.ne("A-Rome")
     offer = _offer_a(world, link="Rome-Paris", path_hint=("A-Rome", "A-Milan", "A-Paris"))
@@ -303,8 +303,11 @@ def test_booking_issues_credential_and_installs_nothing():
     fields = open_reservation_credential(cred)
     assert fields["link_names"] == ("Rome-Paris",)
     assert ne.free_capacity("A-Paris") == 100  # nothing active
-    assert ne.calendar["A-Paris"][fields["reservation_id"]] == (start, start + HOUR, 50)
-    assert world.fabric.reservations[fields["reservation_id"]].state == NOTIONAL
+    booked = world.fabric.reservations[fields["reservation_id"]]
+    assert booked.state == NOTIONAL
+    assert ne.calendar["A-Paris"] == {booked.reservation_id: booked}
+    assert (booked.start, booked.end, booked.bandwidth_mbps) == (start, start + HOUR, 50)
+    assert ne.active_rows["A-Paris"] == {}
 
 
 def test_overbooked_interval_is_refused():
@@ -418,6 +421,12 @@ def test_keepalive_advances_due_date():
     due = ne.keepalive_payment(res.reservation_id, check, world.now + 500)
     assert due == world.now + 1200
     assert len(ne.outbox) == 2
+    assert world.fabric.expire_all(world.now + 600) == 0  # the old due date
+    assert res.state == ACTIVE
+    assert world.fabric.expire_all(world.now + 1199) == 0
+    assert world.fabric.expire_all(world.now + 1200) == 1  # the new one
+    assert res.state == LAPSED
+    assert ne.free_capacity("A-Paris") == 100
 
 
 def test_bad_keepalive_check_refused():
@@ -443,6 +452,21 @@ def test_missed_keepalive_lapses_reservation():
     assert ne.free_capacity("A-Paris") == 100
 
 
+@pytest.mark.parametrize("past_end", [0, 1])
+def test_unpaid_reservation_reached_at_its_end_in_one_tick_lapses(past_end):
+    # One tick passes both the unpaid due date and the end: the due date
+    # came first, so the reservation lapsed rather than expired.
+    world = _metered_world()
+    ne = world.fabric.ne("A-Rome")
+    req = spot_request(world, ne, [_offer_a(world)], 50, world.now)
+    res = ne.handle_spot_request(req, world.now)
+    assert res.next_payment_due < res.end
+    assert world.fabric.expire_all(res.end + past_end) == 1
+    assert res.state == LAPSED
+    assert ne.free_capacity("A-Paris") == 100
+    assert capacity_violations(world.fabric) == []
+
+
 def test_expiry_at_interval_end_restores_capacity():
     world = two_isp_world()
     ne = world.fabric.ne("A-Rome")
@@ -458,6 +482,82 @@ def test_expiry_at_interval_end_restores_capacity():
 def test_expire_on_idle_fabric_is_zero():
     world = two_isp_world()
     assert world.fabric.expire_all(world.now) == 0
+
+
+def test_booking_that_ends_unactivated_expires_for_good():
+    world = two_isp_world()
+    ne = world.fabric.ne("A-Rome")
+    start = world.now + 3 * DAY
+    cred = _book(world, ne, [_offer_a(world)], 50, start, start + HOUR, world.now)
+    res = world.fabric.reservations[open_reservation_credential(cred)["reservation_id"]]
+    assert world.fabric.expire_all(start + HOUR - 1) == 0
+    assert res.state == NOTIONAL
+    assert world.fabric.expire_all(start + HOUR) == 1
+    assert res.state == EXPIRED
+    assert ne.calendar["A-Paris"] == {}
+    assert ne.timelines["A-Paris"].events == []
+    # A clock set back inside the booked hour revives nothing.
+    assert world.fabric.expire_all(start) == 0
+    with pytest.raises(UnknownReservation):
+        ne.activate_reservation(cred, start)
+    assert res.state == EXPIRED
+    assert ne.active_rows["A-Paris"] == {}
+    assert capacity_violations(world.fabric) == []
+
+
+def test_a_clock_set_back_changes_no_state():
+    world = _metered_world()
+    ne = world.fabric.ne("A-Rome")
+    start = world.now + HOUR
+    cred = _book(world, ne, [_offer_a(world)], 50, start, start + HOUR, world.now)
+    spot = ne.handle_spot_request(
+        spot_request(world, ne, [_offer_a(world, mbps=20, cents=120)], 20, world.now),
+        world.now,
+    )
+    assert world.fabric.expire_all(world.now + 600) == 1  # the spot row's due date
+    assert spot.state == LAPSED
+    booked = ne.activate_reservation(cred, start)
+    assert world.fabric.expire_all(start + 300) == 0
+
+    def state():
+        return (
+            {r.reservation_id: (r.state, r.next_payment_due)
+             for r in world.fabric.reservations.values()},
+            {(ne_id, n): (dict(e.active_rows[n]), dict(e.calendar[n]), list(t.events))
+             for ne_id, e in world.fabric.nes.items() for n, t in e.timelines.items()},
+        )
+
+    before = state()
+    for earlier in (start, world.now, world.now - DAY):
+        assert world.fabric.expire_all(earlier) == 0
+        assert state() == before
+        assert capacity_violations(world.fabric) == []
+    assert booked.state == ACTIVE
+    assert world.fabric.expire_all(start + 600) == 1  # the activated booking's due date
+    assert booked.state == LAPSED
+
+
+def test_activate_and_keepalive_at_any_ne_of_the_provider():
+    world = _metered_world()
+    ne = world.fabric.ne("A-Rome")
+    start = world.now + HOUR
+    cred = _book(world, ne, [_offer_a(world)], 50, start, start + HOUR, world.now)
+    with pytest.raises(UnknownReservation):  # another provider's NE
+        world.fabric.ne("B-Paris").activate_reservation(cred, start)
+    milan = world.fabric.ne("A-Milan")  # not on the Rome-Paris path
+    res = milan.activate_reservation(cred, start)
+    assert res.state == ACTIVE
+    assert ne.calendar["A-Paris"] == {} and ne.active_rows["A-Paris"] == {res.reservation_id: res}
+    with pytest.raises(UnknownReservation):  # a second activation
+        ne.activate_reservation(cred, start)
+    check = world.wallet.write_check(ne.isp_key, Money(10), "beefbeefbeef",
+                                     date_of_instant(start))
+    assert milan.keepalive_payment(res.reservation_id, check, start + 100) == start + 1200
+    with pytest.raises(UnknownReservation):
+        world.fabric.ne("B-Paris").keepalive_payment(res.reservation_id, check, start + 100)
+    assert world.fabric.expire_all(start + 600) == 0
+    assert res.state == ACTIVE
+    assert capacity_violations(world.fabric) == []
 
 
 def test_audit_reports_a_timeline_that_drifted_from_the_tables():
@@ -547,7 +647,7 @@ def _fill(world, segment, mbps):
         reservation_id="res-filler", state=ACTIVE, isp_key="x", segments=(segment,),
         bandwidth_mbps=mbps, start=world.now, end=world.now + 30 * DAY, customer_key="k",
     )
-    world.fabric.ne(from_ne)._charge_active(to_ne, filler)
+    world.fabric.ne(from_ne)._hold(to_ne, filler)
 
 
 def _full_link(world, ne, submit):

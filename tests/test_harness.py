@@ -128,6 +128,30 @@ def test_expected_error_option(tmp_path):
     run_scenario(path)  # the expected no-path makes the event pass
 
 
+def test_ended_booking_reads_expired_and_cannot_be_activated(tmp_path):
+    # Booked for 20031120T090000-20031120T100000, never activated.
+    path = _scn(
+        tmp_path,
+        "customer alice bank 10.00 USD 20041231\n"
+        "post-offer ispA Rome Paris 50 3.00 USD 20031125\n"
+        "buy-future alice Rome Paris 50 20031120T090000 20031120T100000 handle=show\n"
+        "assert reservation show notional\n"
+        "advance-clock 93660              # a minute past the booking's end\n"
+        "assert reservation show expired\n"
+        "assert capacity A-Rome A-Paris 100\n"
+        "activate alice show expect=unknown-reservation\n"
+        "advance-clock -1860              # back inside the booked hour\n"
+        "activate alice show expect=unknown-reservation\n"
+        "assert reservation show expired\n"
+        "assert capacity A-Rome A-Paris 100\n",
+    )
+    result = run_scenario(path)
+    assert "alice expired 50 Rome-Paris" in result.report
+    errors = [e.get("code") for e in _transcript_envelopes(result.transcript)
+              if e.msg_type == "ERROR"]
+    assert errors == ["unknown-reservation"] * 2
+
+
 # ---------------------------------------------------------------------------
 # QNA behavior
 # ---------------------------------------------------------------------------

@@ -1,13 +1,20 @@
-"""The span tracer in perfbench/spans.py wraps program functions by name.
-Every name it lists must still resolve, so that renaming a traced entry
-point fails here and not in a benchmark run. The tracer module is read
-as text, not imported."""
+"""The span tracer in perfbench/spans.py wraps program functions by name,
+and the traced runs read some state of a built fabric and clearing
+house. Every name it lists and every table it reads must still resolve,
+so that a rename fails here and not in a benchmark run. The tracer
+module is read as text, not imported."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 from pathlib import Path
+
+from bandx.market import ClearingHouse
+from bandx.money import Money
+from bandx.offers import make_offer_credential
+
+from helpers import spot_request, two_isp_world
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -45,3 +52,26 @@ def test_every_traced_target_resolves():
         elif not callable(vars(module).get(qual)):
             missing.append(f"{module_name}.{qual}")
     assert missing == []
+
+
+def test_state_the_traced_runs_read_resolves():
+    # spans.py: the deepest calendar of the booking NE, as
+    # max(len(c) for c in ne.calendar.values()); the workloads: the
+    # challenge tables of every NE in Fabric.nes; len() of the house.
+    world = two_isp_world()
+    ne = world.fabric.ne("A-Rome")
+    offer = make_offer_credential(world.isp_a, "Rome-Paris", 50, Money(300), "20031125")
+    start = world.now + 86400
+    for i in range(3):
+        req = spot_request(world, ne, [offer], 10, world.now)
+        ne.book_future(req, (start + i, start + 3600), world.now)
+    ne.issue_challenge(world.now)
+    assert sorted(world.fabric.nes) == ["A-Milan", "A-Paris", "A-Rome", "B-Dublin", "B-Paris"]
+    for each in world.fabric.nes.values():
+        assert set(each.calendar) == set(each.links)
+    assert {n: len(c) for n, c in ne.calendar.items()} == {"A-Milan": 0, "A-Paris": 3}
+    assert max((len(c) for c in ne.calendar.values()), default=0) == 3
+    assert len(ne.challenges) == 1 and len(ne.used_challenges) == 3
+    house = ClearingHouse()
+    house.post_offer(offer, "20031119")
+    assert len(house) == 1
