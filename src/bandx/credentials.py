@@ -44,6 +44,7 @@ from .keys import (
     KeyPair,
     PublicKeyId,
     UnsupportedAlgorithm,
+    read_key_id,
     scheme_for_signature,
 )
 
@@ -193,7 +194,7 @@ class Credential:
     def authorizer_key(self) -> PublicKeyId:
         if self.authorizer == POLICY:
             raise ValueError("POLICY credential has no authorizer key")
-        return PublicKeyId.from_text(self.authorizer)
+        return read_key_id(self.authorizer)[0]
 
     def text(self) -> str:
         return self.source_text if self.source_text is not None else render_credential(self)
@@ -394,7 +395,7 @@ def _resolve_principal(
     else:
         raise CredentialSyntaxError(f"got {tok.text!r}", tok.pos, "key or constant name")
     try:
-        return PublicKeyId.from_text(text).canonical()
+        return read_key_id(text)[1]
     except ValueError as exc:
         raise CredentialSyntaxError(str(exc), tok.pos, "key id") from exc
 
@@ -727,7 +728,8 @@ def sign_credential(cred: Credential, pair: KeyPair) -> Credential:
 # Successful verifications, keyed by _memo_key. A credential is immutable
 # and verification is a pure function of the key, the signature and the
 # canonical bytes, so a remembered success decides nothing differently.
-# Failures are not kept. The oldest entry goes first once the bound is hit.
+# Failures are not kept. A hit moves its entry to the end, so the least
+# recently used entry goes first once the bound is hit.
 _MEMO_SIZE = 4096
 _verified: dict[bytes, None] = {}
 _verified_lock = threading.Lock()
@@ -758,8 +760,10 @@ def verify_signature(cred: Credential) -> bool:
         return False
     message = canonical_bytes(cred)
     key = _memo_key(cred, message)
-    if key in _verified:
-        return True
+    with _verified_lock:
+        if key in _verified:
+            _verified[key] = _verified.pop(key)
+            return True
     if not _signature_valid(cred, message):
         return False
     with _verified_lock:
@@ -969,9 +973,7 @@ def conjunction(
     """Unsigned credential from `authorizer` to the one key `licensee`
     (anyone when None) whose single clause is `tests` joined by `&&`,
     with result "true": the credential parsing that text gives."""
-    leaf = Anyone if licensee is None else KeyLeaf(
-        PublicKeyId.from_text(str(licensee)).canonical()
-    )
+    leaf = Anyone if licensee is None else KeyLeaf(read_key_id(str(licensee))[1])
     test = tests[0] if len(tests) == 1 else CAnd(tuple(tests))
     return Credential(2, (), authorizer.canonical(), leaf, (Clause(test, "true"),))
 

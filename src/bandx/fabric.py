@@ -37,6 +37,7 @@ is left to the dispute mechanism.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from bisect import bisect_left, bisect_right
@@ -57,7 +58,7 @@ from .credentials import (
     sign_credential,
     verify_signature,
 )
-from .keys import KeyPair, PublicKeyId, scheme_for_key
+from .keys import KeyPair, read_key_id, scheme_for_key
 from .money import Money, date_of_instant, text_of_instant, instant_from_text
 from .offers import APP_DOMAIN, MalformedOffer, Offer, QOS_PREMIUM, derive_offer_fields
 from .payments import (
@@ -260,7 +261,7 @@ class Pdp:
 
     def verify_request(self, req: ReservationRequest) -> bool:
         try:
-            key = PublicKeyId.from_text(req.customer_key)
+            key = read_key_id(req.customer_key)[0]
             scheme = scheme_for_key(key)
         except Exception:
             return False
@@ -420,8 +421,10 @@ class NetworkElement:
         default_factory=list, init=False, repr=False
     )
 
-    @property
+    @functools.cached_property
     def isp_key(self) -> str:
+        """The provider's canonical key id, rendered once: every
+        reservation and record this NE makes holds the one string."""
         return self.isp.public_id.canonical()
 
     def add_link(self, neighbor: str, link_name: str, capacity_mbps: int) -> None:

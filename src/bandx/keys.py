@@ -61,6 +61,16 @@ class PublicKeyId:
         return cls(m[1], m[2])
 
 
+@functools.lru_cache(maxsize=1024)
+def read_key_id(text: str) -> tuple[PublicKeyId, str]:
+    """The key id `text` names and its canonical rendering. A repeated
+    text returns the same pair, so every credential naming a key shares
+    one string for it. Invalid text raises ValueError on every call:
+    lru_cache stores no exception."""
+    key = PublicKeyId.from_text(text)
+    return key, key.canonical()
+
+
 class SignatureScheme:
     """Interface implemented by each registered algorithm."""
 

@@ -35,7 +35,7 @@ from .credentials import (
     verify_signature,
     verify_signature_fresh,
 )
-from .keys import POLICY, KeyPair, PublicKeyId, UnsupportedAlgorithm
+from .keys import POLICY, KeyPair, PublicKeyId, UnsupportedAlgorithm, read_key_id
 from .money import Money, is_date, parse_amount
 from .offers import APP_DOMAIN, Offer, validate_unbundling
 
@@ -175,10 +175,10 @@ def _policy(guarantors: tuple, merchant: str | None, app_domain: str) -> Credent
     """POLICY licensing any of `guarantors`, jointly with `merchant` when
     given. Built once per arguments, structurally: the AST that parsing
     `("G1" || "G2") && "M"` and `app_domain == "D" -> "true";` gives."""
-    leaves = tuple(KeyLeaf(PublicKeyId.from_text(g).canonical()) for g in guarantors)
+    leaves = tuple(KeyLeaf(read_key_id(g)[1]) for g in guarantors)
     licensees = leaves[0] if len(leaves) == 1 else POr(leaves)
     if merchant is not None:
-        licensees = PAnd((licensees, KeyLeaf(PublicKeyId.from_text(merchant).canonical())))
+        licensees = PAnd((licensees, KeyLeaf(read_key_id(merchant)[1])))
     return Credential(2, (), POLICY, licensees, (Clause(pin("app_domain", app_domain), "true"),))
 
 

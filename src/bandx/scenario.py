@@ -496,9 +496,14 @@ def run_parsed(
     transport: Transport | None = None,
     journal_path: str | None = None,
 ) -> ScenarioResult:
+    """Run a parsed scenario and return its report and transcript. A
+    transport passed in that records nothing is asked to record from
+    here on."""
     owned = transport is None
     if transport is None:
-        transport = Bus(build_services(scn, journal_path))
+        transport = Bus(build_services(scn, journal_path), transcript=[])
+    elif transport.transcript is None:
+        transport.transcript = []
     runner = _Runner(scn, transport)
     runner.setup()
     try:
@@ -507,7 +512,7 @@ def run_parsed(
     finally:
         if owned:
             transport.close()
-    transcript = b"".join(getattr(transport, "transcript", []))
+    transcript = b"".join(transport.transcript)
     return ScenarioResult(report=report, transcript=transcript)
 
 

@@ -1,10 +1,11 @@
 """Role services speaking the envelope protocol, plus the two transports.
 
 The same service cores sit behind both transports: the in-process bus
-calls `handle` directly on encoded envelopes (recording a transcript),
-and the socket server feeds it the same bytes from a TCP stream. Each
-service is single-writer over its own state; concurrent socket clients
-are serialized at the state machine boundary.
+hands them encoded envelopes directly, and the socket server feeds them
+the same bytes from a TCP stream. A transport records a transcript only
+when its caller passes a list to record into. Each service is
+single-writer over its own state; concurrent socket clients are
+serialized at the state machine boundary.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import base64
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .credentials import (
     BadSignature,
@@ -291,8 +292,11 @@ class IspService(ServiceCore):
         return self._reply("KEEPALIVE-OK", {"next_due": str(due)})
 
     def do_teardown_notify(self, env: Envelope) -> Envelope:
-        self._ne(env).teardown(env.require("reservation_id"), env.require("customer_key"))
-        return self._reply("TORN-DOWN", {"reservation_id": env.require("reservation_id")})
+        released = self._ne(env).teardown(
+            env.require("reservation_id"), env.require("customer_key")
+        )
+        return self._reply("TORN-DOWN", {"reservation_id": env.require("reservation_id"),
+                                         "released": "yes" if released else "no"})
 
     def do_flush_records(self, env: Envelope) -> Envelope:
         records = self.fabric.flush_records(env.get("isp"))
@@ -409,6 +413,10 @@ class GuarantorService(ServiceCore):
 # ---------------------------------------------------------------------------
 
 class Transport:
+    # Every envelope sent and received, in order, when the caller asked
+    # for a transcript by passing a list; None records nothing.
+    transcript: list[bytes] | None = None
+
     def send(self, dest: str, msg_type: str, fields: dict | None = None,
              blocks: dict | None = None, sender: str = "qna") -> Envelope:
         raise NotImplementedError
@@ -425,11 +433,12 @@ class Transport:
 
 @dataclass
 class Bus(Transport):
-    """In-process transport: encodes every exchange to the transcript and
-    hands the same bytes a socket server would see to the service."""
+    """In-process transport: hands the service the same bytes a socket
+    server would see, and appends request and reply to `transcript` when
+    one was given."""
 
     services: dict[str, ServiceCore]
-    transcript: list[bytes] = field(default_factory=list)
+    transcript: list[bytes] | None = None
     _seq: int = 0
 
     def send(self, dest: str, msg_type: str, fields: dict | None = None,
@@ -439,9 +448,9 @@ class Bus(Transport):
         self._seq += 1
         env = Envelope(msg_type, sender, self._seq, fields or {}, blocks or {})
         request = encode(env)
-        self.transcript.append(request)
         reply_bytes = self.services[dest].handle_bytes(request)
-        self.transcript.append(reply_bytes)
+        if self.transcript is not None:
+            self.transcript += (request, reply_bytes)
         from .envelope import decode
 
         reply, _ = decode(reply_bytes)
@@ -454,15 +463,17 @@ class Bus(Transport):
 
 class SocketTransport(Transport):
     """Client side of the stream protocol; one persistent connection per
-    destination role."""
+    destination role. Appends each request and reply to `transcript`
+    when one was given."""
 
-    def __init__(self, endpoints: dict[str, tuple[str, int]], sender: str = "qna"):
+    def __init__(self, endpoints: dict[str, tuple[str, int]], sender: str = "qna",
+                 transcript: list[bytes] | None = None):
         self.endpoints = endpoints
         self.sender = sender
         self._conns: dict[str, socket.socket] = {}
         self._files: dict[str, tuple] = {}
         self._seq = 0
-        self.transcript: list[bytes] = []
+        self.transcript = transcript
 
     def _conn(self, dest: str):
         if dest not in self._files:
@@ -479,13 +490,15 @@ class SocketTransport(Transport):
         self._seq += 1
         env = Envelope(msg_type, sender or self.sender, self._seq, fields or {}, blocks or {})
         data = encode(env)
-        self.transcript.append(data)
+        if self.transcript is not None:
+            self.transcript.append(data)
         wfile.write(data)
         wfile.flush()
         reply = read_envelope(rfile)
         if reply is None:
             raise ProtocolError(f"{dest} closed the connection")
-        self.transcript.append(encode(reply))
+        if self.transcript is not None:
+            self.transcript.append(encode(reply))
         return reply
 
     def broadcast_clock(self, now: int) -> None:
@@ -537,6 +550,11 @@ class _EnvelopeServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
 
+# How often the accept loop looks for a shutdown request, in seconds:
+# `shutdown()` waits up to this long (socketserver's default is 0.5).
+_POLL_INTERVAL = 0.05
+
+
 def serve(core: ServiceCore, host: str, port: int) -> _EnvelopeServer:
     """Bind and serve a core in a daemon thread; returns the server
     (whose .server_address reports the bound port)."""
@@ -545,6 +563,8 @@ def serve(core: ServiceCore, host: str, port: int) -> _EnvelopeServer:
     except OSError as exc:
         raise BindFailure(f"cannot bind {host}:{port}: {exc}") from exc
     server.core = core  # type: ignore[attr-defined]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(_POLL_INTERVAL,), daemon=True
+    )
     thread.start()
     return server

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from dataclasses import dataclass
 
 from bandx.keys import Ed25519Scheme, KeyPair, generate_keypair
@@ -11,6 +13,24 @@ from bandx.money import Money
 from bandx.offers import Offer, make_offer_credential, validate_unbundling
 from bandx.payments import Wallet, build_purchase_action, issue_guarantor_credential
 from bandx.settlement import TransactionRecord
+
+
+def held_growth(step, warmup: int, rounds: int) -> int:
+    """Bytes that `rounds` calls of `step` leave allocated, traced by
+    tracemalloc after `warmup` calls have filled caches and memos."""
+    tracemalloc.start()
+    try:
+        for _ in range(warmup):
+            step()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(rounds):
+            step()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
 
 def counting_scheme_verify(monkeypatch) -> list:
     """Record the key of every Ed25519 scheme verification from now on."""

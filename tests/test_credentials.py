@@ -33,12 +33,14 @@ from bandx.credentials import (
     render_credential,
     sign_credential,
     verify_signature,
+    verify_signature_fresh,
 )
 from bandx.keys import (
     POLICY,
     KeyMismatch,
     UnsupportedAlgorithm,
     generate_keypair,
+    read_key_id,
 )
 
 from conftest import make_chain
@@ -345,6 +347,53 @@ def test_memo_stays_bounded_and_exact_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
     assert len(credentials._verified) <= 8
+
+
+def test_a_hit_keeps_a_remembered_signature_past_older_unhit_ones(monkeypatch):
+    from bandx import credentials
+
+    monkeypatch.setattr(credentials, "_verified", {})
+    monkeypatch.setattr(credentials, "_MEMO_SIZE", 2)
+    pair = generate_keypair("memo:lru")
+    a, b, c = (
+        sign_credential(build_credential(pair.public_id, "", f'n == "{i}";'), pair)
+        for i in range(3)
+    )
+    calls = counting_scheme_verify(monkeypatch)
+    for cred in (a, b, a, c):  # the hit on `a` leaves `b` the least recently used
+        assert verify_signature(cred) is True
+    assert len(calls) == 3
+    assert verify_signature(a) is True and len(calls) == 3
+    assert verify_signature(b) is True and len(calls) == 4
+    # The fresh path neither reads nor fills the memo.
+    held = dict(credentials._verified)
+    assert verify_signature_fresh(a) is True and len(calls) == 5
+    assert credentials._verified == held
+
+
+def test_key_id_memo_shares_one_pair_per_text_and_keeps_no_failure():
+    pair = generate_keypair("memo:key")
+    text = pair.public_id.canonical()
+    first = read_key_id(text)
+    assert first == (pair.public_id, text)
+    assert read_key_id(text) is first
+    # Every credential naming the key holds the one canonical string.
+    one, two = (
+        sign_credential(build_credential(pair.public_id, "", f'n == "{i}";'), pair)
+        for i in range(2)
+    )
+    parsed = [parse_credential(render_credential(c)) for c in (one, two)]
+    assert parsed[0].authorizer is parsed[1].authorizer is first[1]
+    assert parsed[0].authorizer_key is first[0]
+    misses = read_key_id.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            read_key_id("not a key id")
+    assert read_key_id.cache_info().misses == misses + 2
+    bound = read_key_id.cache_info().maxsize
+    for i in range(bound + 8):
+        read_key_id(f"test:k{i}")
+    assert read_key_id.cache_info().currsize == bound
 
 
 def test_sign_with_foreign_key_is_a_key_mismatch():

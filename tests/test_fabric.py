@@ -35,6 +35,7 @@ from bandx.fabric import (
 )
 from bandx.money import Money, date_of_instant, instant_from_text
 from bandx.offers import make_offer_credential
+from bandx.services import Bus, IspService
 
 from helpers import spot_request, two_isp_world
 
@@ -557,6 +558,23 @@ def test_activate_and_keepalive_at_any_ne_of_the_provider():
         world.fabric.ne("B-Paris").keepalive_payment(res.reservation_id, check, start + 100)
     assert world.fabric.expire_all(start + 600) == 0
     assert res.state == ACTIVE
+    assert capacity_violations(world.fabric) == []
+
+
+def test_teardown_notify_says_whether_it_released_anything():
+    world = two_isp_world()
+    ne = world.fabric.ne("A-Rome")
+    res = ne.handle_spot_request(
+        spot_request(world, ne, [_offer_a(world)], 50, world.now), world.now
+    )
+    bus = Bus({"isp": IspService(world.fabric, world.now)})
+    fields = {"to": "A-Paris", "reservation_id": res.reservation_id,
+              "customer_key": res.customer_key}
+    first = bus.send("isp", "TEARDOWN-NOTIFY", fields)
+    assert (first.msg_type, first.get("released")) == ("TORN-DOWN", "yes")
+    assert res.state == EXPIRED and ne.free_capacity("A-Paris") == 100
+    second = bus.send("isp", "TEARDOWN-NOTIFY", fields)
+    assert (second.msg_type, second.get("released")) == ("TORN-DOWN", "no")
     assert capacity_violations(world.fabric) == []
 
 

@@ -23,6 +23,8 @@ from bandx.scenario import (
 )
 from bandx.services import Bus
 
+from helpers import held_growth
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINI_TOPO = """\
@@ -70,6 +72,26 @@ def test_rome_dublin_matches_golden_transcript():
     golden = (SCENARIOS / "rome-dublin.golden.transcript").read_bytes()
     assert result.transcript == golden
     assert result.report == (SCENARIOS / "rome-dublin.golden.report").read_text()
+
+
+def test_a_bus_asked_to_record_holds_the_golden_bytes():
+    scn = parse_scenario((SCENARIOS / "rome-dublin.scn").read_text(), SCENARIOS)
+    recorded: list[bytes] = []
+    result = run_parsed(scn, Bus(build_services(scn), transcript=recorded))
+    golden = (SCENARIOS / "rome-dublin.golden.transcript").read_bytes()
+    assert b"".join(recorded) == result.transcript == golden
+
+
+def test_a_bus_nobody_asked_to_record_holds_nothing():
+    scn = parse_scenario((SCENARIOS / "rome-dublin.scn").read_text(), SCENARIOS)
+    bus = Bus(build_services(scn))
+
+    def report() -> None:
+        assert bus.send("ch", "REPORT").msg_type == "CH-REPORT"
+
+    # Recorded, 2,000 requests and replies would hold about 300 KiB.
+    assert held_growth(report, warmup=200, rounds=2_000) < 32 * 1024
+    assert bus.transcript is None
 
 
 def test_seed_change_changes_transcript(tmp_path):
@@ -159,7 +181,7 @@ def test_ended_booking_reads_expired_and_cannot_be_activated(tmp_path):
 def test_no_offers_means_no_path_and_no_ne_traffic(tmp_path):
     path = _scn(tmp_path, "customer alice bank 10.00 USD 20041231\n")
     scn = parse_scenario(path.read_text(), tmp_path)
-    bus = Bus(build_services(scn))
+    bus = Bus(build_services(scn), transcript=[])
     from bandx.scenario import _Runner
 
     runner = _Runner(scn, bus)

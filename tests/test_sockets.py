@@ -16,6 +16,8 @@ from bandx.envelope import MAX_PAYLOAD, Envelope, ProtocolError, decode, encode,
 from bandx.scenario import build_services, parse_scenario, run_parsed
 from bandx.services import SocketTransport, serve
 
+from helpers import held_growth
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -61,6 +63,18 @@ def test_socket_run_matches_in_process_run(live_world):
     sim_result = run_parsed(scn)
     assert socket_result.report == sim_result.report
     assert _normalize(socket_result.transcript) == _normalize(sim_result.transcript)
+
+
+def test_a_socket_transport_nobody_asked_to_record_holds_nothing(live_world):
+    _scn, _services, endpoints = live_world
+    with SocketTransport(endpoints) as transport:
+
+        def report() -> None:
+            assert transport.send("ch", "REPORT").msg_type == "CH-REPORT"
+
+        # Recorded, 2,000 requests and replies would hold about 300 KiB.
+        assert held_growth(report, warmup=200, rounds=2_000) < 32 * 1024
+        assert transport.transcript is None
 
 
 def test_malformed_bytes_do_not_kill_the_connection(live_world):
