@@ -3,8 +3,9 @@
 Verbs: keygen, post-offer, search, buy, book, activate, deposit, report,
 run <scenario>, serve <role>. Client verbs speak the envelope protocol
 to live services; `run` executes a scenario file (in-process by default,
-against sockets with --endpoints). Exit codes: 0 success, 2 assertion
-failure, 3 protocol or parse error.
+against sockets with --endpoints); `serve` builds its role from a JSON
+config with the builder in-process runs use. Exit codes: 0 success, 2
+assertion failure, 3 protocol, parse or config error.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from typing import Iterator
 
 from .credentials import CredentialSyntaxError, parse_credential_blocks
 from .envelope import ProtocolError
-from .fabric import Fabric, Pdp, parse_topology
 from .keys import export_private, generate_keypair, import_private
-from .market import ClearingHouse
 from .money import parse_amount, text_of_instant
 from .offers import make_offer_credential
 from .payments import Wallet
@@ -32,17 +31,7 @@ from .scenario import (
     parse_scenario,
     run_parsed,
 )
-from .services import (
-    ClearingHouseService,
-    ConfigError,
-    CscService,
-    GuarantorService,
-    IspService,
-    ServiceCore,
-    SocketTransport,
-    serve,
-)
-from .settlement import SettlementCenter
+from .services import ConfigError, SocketTransport, build_role, config_errors, serve
 
 EXIT_OK = 0
 EXIT_ASSERT = 2
@@ -236,48 +225,11 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def build_service(role: str, config: dict) -> ServiceCore:
-    try:
-        clock_start = int(config.get("clock_start", 0))
-        if role == "ch":
-            return ClearingHouseService(ClearingHouse(), clock_start)
-        if role == "guarantor":
-            return GuarantorService(import_private(config["secret"]), clock_start)
-        if role == "csc":
-            return CscService(
-                SettlementCenter(
-                    config["trusted_guarantors"],
-                    commission_basis_points=int(config.get("commission_bp", 100)),
-                    journal_path=config.get("journal"),
-                ),
-                clock_start,
-            )
-        if role == "isp":
-            isp_keys = {
-                name: import_private(entry["secret"])
-                for name, entry in config["isps"].items()
-            }
-            keepalive = {
-                name: (int(period), parse_amount(price, currency))
-                for name, (period, price, currency) in config.get("keepalive", {}).items()
-            }
-            fabric = Fabric.build(
-                parse_topology(Path(config["topology"]).read_text(encoding="utf-8")),
-                isp_keys,
-                Pdp(config["trusted_guarantors"]),
-                rng_seed=config.get("seed"),
-                keepalive=keepalive,
-            )
-            return IspService(fabric, clock_start)
-    except (KeyError, ValueError, OSError) as exc:
-        raise ConfigError(f"bad {role} config: {exc}") from exc
-    raise ConfigError(f"unknown role {role!r}")
-
-
 def cmd_serve(args) -> int:
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    core = build_service(args.role, config)
-    host, port = _addr(config["listen"])
+    with config_errors(args.role):
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        core = build_role(args.role, config)
+        host, port = _addr(config["listen"])
     server = serve(core, host, port)
     actual = server.server_address[1]
     print(f"{args.role} listening on {host}:{actual}", flush=True)
@@ -286,6 +238,7 @@ def cmd_serve(args) -> int:
             time.sleep(3600)
     except KeyboardInterrupt:
         server.shutdown()
+        server.server_close()
     return EXIT_OK
 
 
@@ -391,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionFailed as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return EXIT_ASSERT
-    except (ScenarioParseError, ProtocolError, CredentialSyntaxError) as exc:
+    except (ScenarioParseError, ProtocolError, CredentialSyntaxError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     except Exception as exc:

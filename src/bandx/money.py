@@ -99,8 +99,12 @@ def instant_from_text(text: str) -> int:
 
 
 def date_of_instant(instant: int) -> str:
-    """YYYYMMDD of an epoch-seconds instant, in UTC."""
-    return datetime.fromtimestamp(instant, tz=timezone.utc).strftime("%Y%m%d")
+    """YYYYMMDD of an epoch-seconds instant, in UTC; ValueError for an
+    instant outside the platform's range."""
+    try:
+        return datetime.fromtimestamp(instant, tz=timezone.utc).strftime("%Y%m%d")
+    except (OverflowError, OSError) as exc:
+        raise ValueError(f"instant {instant} out of range: {exc}") from None
 
 
 def text_of_instant(instant: int) -> str:

@@ -9,7 +9,9 @@ transcripts and final-state reports.
 The runner drives everything through envelopes, so the same scenario
 executes unchanged against the in-process bus or against live socket
 services; the final-state report is normalized (actor names, no random
-ids) and must be identical across transports.
+ids) and must be identical across transports. Each role comes from
+its config in `role_configs`: `services.build_role` builds it here, and
+under `bandx serve` from the JSON that `materialize_configs` writes.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .credentials import parse_credential
-from .fabric import Fabric, Pdp, parse_topology
 from .keys import KeyPair, export_private, generate_keypair
-from .market import ClearingHouse
 from .money import (
     Money,
     instant_from_text,
@@ -31,16 +31,7 @@ from .money import (
 from .offers import make_offer_credential
 from .payments import Wallet
 from .qna import PartialEstablishment, PurchaseHandle, QnaSession, raise_for_error
-from .services import (
-    Bus,
-    ClearingHouseService,
-    CscService,
-    GuarantorService,
-    IspService,
-    Transport,
-    error_code,
-)
-from .settlement import SettlementCenter
+from .services import Bus, ServiceCore, Transport, build_role, error_code
 
 
 class ScenarioParseError(Exception):
@@ -450,33 +441,42 @@ class ScenarioResult:
     transcript: bytes
 
 
-def build_services(scn: Scenario, journal_path: str | None = None
-                   ) -> dict[str, object]:
-    """The four role services, wired exactly as a socket deployment
-    would be, for in-process use."""
-    guarantor_pair = actor_keypair(scn.seed, scn.guarantors[0])
+def role_configs(scn: Scenario, journal_path: str | None = None
+                 ) -> dict[str, dict]:
+    """The four per-role configs this scenario derives, JSON-ready:
+    `services.build_role` builds each role from its config, in process
+    and under `bandx serve` alike."""
     trusted = [actor_keypair(scn.seed, g).public_id.canonical() for g in scn.guarantors]
-    isp_keys = {decl.name: actor_keypair(scn.seed, decl.name) for decl in scn.isps}
-    keepalive = {
-        decl.name: (decl.keepalive_period, decl.keepalive_price)
-        for decl in scn.isps
-        if decl.keepalive_period is not None
+    configs = {
+        "ch": {},
+        "isp": {
+            "topology_text": scn.topology_text,
+            "seed": scn.seed,
+            "trusted_guarantors": trusted,
+            "isps": {
+                decl.name: {"secret": export_private(actor_keypair(scn.seed, decl.name))}
+                for decl in scn.isps
+            },
+            "keepalive": {
+                decl.name: [decl.keepalive_period, decl.keepalive_price.as_decimal_str(),
+                            decl.keepalive_price.currency]
+                for decl in scn.isps
+                if decl.keepalive_period is not None
+            },
+        },
+        "csc": {"trusted_guarantors": trusted, "journal": journal_path},
+        "guarantor": {"secret": export_private(actor_keypair(scn.seed, scn.guarantors[0]))},
     }
-    fabric = Fabric.build(
-        parse_topology(scn.topology_text),
-        isp_keys,
-        Pdp(trusted),
-        rng_seed=scn.seed,
-        keepalive=keepalive,
-    )
-    return {
-        "ch": ClearingHouseService(ClearingHouse(), scn.clock_start),
-        "isp": IspService(fabric, scn.clock_start),
-        "csc": CscService(
-            SettlementCenter(trusted, journal_path=journal_path), scn.clock_start
-        ),
-        "guarantor": GuarantorService(guarantor_pair, scn.clock_start),
-    }
+    return {role: {"role": role, "clock_start": scn.clock_start, **config}
+            for role, config in configs.items()}
+
+
+def build_services(scn: Scenario, journal_path: str | None = None
+                   ) -> dict[str, ServiceCore]:
+    """The four role services, built from the same configs a socket
+    deployment serves, for in-process use."""
+    return {role: build_role(role, cfg)
+            for role, cfg in role_configs(scn, journal_path).items()}
 
 
 def run_scenario(
@@ -533,48 +533,16 @@ def materialize_configs(
     ports: dict[str, int],
     host: str = "127.0.0.1",
 ) -> dict[str, Path]:
-    """Write one JSON config per role so `bandx serve` processes come up
-    with exactly the identities and topology this scenario derives."""
+    """Write one JSON config per role, `role_configs` plus its `listen`
+    address and the settlement journal under `outdir`, so `bandx serve`
+    processes come up as the in-process services would."""
     import json
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    topo_path = outdir / "topology.txt"
-    topo_path.write_text(scn.topology_text, encoding="utf-8")
-
-    trusted = [actor_keypair(scn.seed, g).public_id.canonical() for g in scn.guarantors]
-    configs: dict[str, Path] = {}
-
-    def write(role: str, payload: dict) -> None:
-        payload = {"role": role, "listen": f"{host}:{ports[role]}",
-                   "clock_start": scn.clock_start, **payload}
-        path = outdir / f"{role}.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        configs[role] = path
-
-    write("ch", {})
-    write(
-        "isp",
-        {
-            "topology": str(topo_path),
-            "seed": scn.seed,
-            "trusted_guarantors": trusted,
-            "isps": {
-                decl.name: {"secret": export_private(actor_keypair(scn.seed, decl.name))}
-                for decl in scn.isps
-            },
-            "keepalive": {
-                decl.name: [decl.keepalive_period, decl.keepalive_price.as_decimal_str(),
-                            decl.keepalive_price.currency]
-                for decl in scn.isps
-                if decl.keepalive_period is not None
-            },
-        },
-    )
-    write("csc", {"trusted_guarantors": trusted,
-                  "journal": str(outdir / "csc.journal")})
-    write(
-        "guarantor",
-        {"secret": export_private(actor_keypair(scn.seed, scn.guarantors[0]))},
-    )
-    return configs
+    paths: dict[str, Path] = {}
+    for role, config in role_configs(scn, str(outdir / "csc.journal")).items():
+        paths[role] = outdir / f"{role}.json"
+        payload = {**config, "listen": f"{host}:{ports[role]}"}
+        paths[role].write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return paths

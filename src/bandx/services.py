@@ -14,7 +14,9 @@ import base64
 import socket
 import socketserver
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 from .credentials import (
     BadSignature,
@@ -32,14 +34,16 @@ from .fabric import (
     Fabric,
     OutsideInterval,
     PaymentRefused,
+    Pdp,
     ReplayedChallenge,
     Reservation,
     ReservationRequest,
     TopologyError,
     UnbundlingProhibited,
     UnknownReservation,
+    parse_topology,
 )
-from .keys import KeyPair
+from .keys import KeyPair, UnsupportedAlgorithm, import_private
 from .market import ClearingHouse, Expired, NoPath, OfferQuery
 from .money import Money, date_of_instant, parse_amount
 from .offers import MalformedOffer
@@ -64,6 +68,7 @@ ERROR_CODES = {
     UnknownVersion: "syntax",
     UnresolvedConstant: "syntax",
     UnverifiedCredential: "bad-signature",
+    UnsupportedAlgorithm: "bad-signature",
     ProtocolError: "protocol",
     ValueError: "invalid",
 }
@@ -95,8 +100,10 @@ class ServiceCore:
         with self._lock:
             try:
                 if env.msg_type == "CLOCK-SET":
-                    self.clock = int(env.require("now"))
-                    self.on_clock(self.clock)
+                    now = int(env.require("now"))
+                    date_of_instant(now)  # an instant with no date changes nothing
+                    self.clock = now
+                    self.on_clock(now)
                     return self._reply("OK", {"now": str(self.clock)})
                 handler = getattr(self, "do_" + env.msg_type.lower().replace("-", "_"), None)
                 if handler is None:
@@ -409,6 +416,64 @@ class GuarantorService(ServiceCore):
 
 
 # ---------------------------------------------------------------------------
+# The one role builder
+# ---------------------------------------------------------------------------
+
+class ConfigError(Exception):
+    pass
+
+
+@contextmanager
+def config_errors(role: str) -> Iterator[None]:
+    """Turn a bad value read from a role's config into a ConfigError."""
+    try:
+        yield
+    except (KeyError, ValueError, TypeError, AttributeError, OSError, TopologyError,
+            UnsupportedAlgorithm) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(f"bad {role} config: {detail}") from exc
+
+
+def build_role(role: str, config: dict) -> ServiceCore:
+    """The service for one role, from the JSON-ready per-role config
+    that `scenario.role_configs` derives and `bandx serve` reads: in
+    process and over sockets, every role is built here."""
+    with config_errors(role):
+        clock_start = int(config.get("clock_start", 0))
+        if role == "ch":
+            return ClearingHouseService(ClearingHouse(), clock_start)
+        if role == "guarantor":
+            return GuarantorService(import_private(config["secret"]), clock_start)
+        if role == "csc":
+            return CscService(
+                SettlementCenter(
+                    config["trusted_guarantors"],
+                    commission_basis_points=int(config.get("commission_bp", 100)),
+                    journal_path=config.get("journal"),
+                ),
+                clock_start,
+            )
+        if role == "isp":
+            isp_keys = {
+                name: import_private(entry["secret"])
+                for name, entry in config["isps"].items()
+            }
+            keepalive = {
+                name: (int(period), parse_amount(price, currency))
+                for name, (period, price, currency) in config.get("keepalive", {}).items()
+            }
+            fabric = Fabric.build(
+                parse_topology(config["topology_text"]),
+                isp_keys,
+                Pdp(config["trusted_guarantors"]),
+                rng_seed=config.get("seed"),
+                keepalive=keepalive,
+            )
+            return IspService(fabric, clock_start)
+    raise ConfigError(f"unknown role {role!r}")
+
+
+# ---------------------------------------------------------------------------
 # Transports
 # ---------------------------------------------------------------------------
 
@@ -518,10 +583,6 @@ class SocketTransport(Transport):
 
 
 class BindFailure(Exception):
-    pass
-
-
-class ConfigError(Exception):
     pass
 
 

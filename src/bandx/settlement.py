@@ -387,7 +387,11 @@ def _read_record_body(
 ) -> tuple[TransactionRecord, int]:
     """The four blocks after a record or deposit header line (offer,
     check, guarantor, action map) as a record carrying the header's
-    merchant and received fields; raises _Torn on short input."""
+    merchant and received fields; raises _Torn on short input and
+    ValueError on a header without either field."""
+    for key in ("merchant", "received"):
+        if key not in fields:
+            raise ValueError(f"record header has no {key}= field")
     blocks = []
     for _ in range(4):
         block, pos = _read_block(data, pos)

@@ -348,6 +348,95 @@ def test_malformed_envelope_gets_error_reply(tmp_path):
     assert reply.msg_type == "ERROR" and reply.get("code") == "protocol"
 
 
+def test_out_of_range_clock_set_is_refused_and_changes_nothing(tmp_path):
+    path = _scn(tmp_path, "post-offer ispA Rome Paris 50 3.00 USD 20031125\n")
+    scn = parse_scenario(path.read_text(), tmp_path)
+    bus = Bus(build_services(scn))
+    from bandx.scenario import _Runner
+
+    runner = _Runner(scn, bus)
+    runner.setup()
+    runner.run_events()
+    before = bus.services["ch"].clock
+    reply = bus.send("ch", "CLOCK-SET", {"now": str(10**20)}, sender="admin")
+    assert (reply.msg_type, reply.get("code")) == ("ERROR", "invalid")
+    assert bus.services["ch"].clock == before
+    reply = bus.send("ch", "QUERY", {"from": "Rome", "to": "Paris", "bandwidth": "10"})
+    assert (reply.msg_type, reply.get("count")) == ("OFFERS", "1")
+
+
+def _flip_signature_tag(text: str) -> str:
+    assert "sig-ed25519-base64:" in text
+    return text.replace("sig-ed25519-base64:", "sig-ed25519-basf64:")
+
+
+def test_unknown_signature_tag_on_an_offer_is_bad_signature(tmp_path):
+    from bandx.money import Money
+    from bandx.offers import make_offer_credential
+    from bandx.scenario import actor_keypair
+
+    path = _scn(tmp_path, "")
+    scn = parse_scenario(path.read_text(), tmp_path)
+    bus = Bus(build_services(scn))
+    bus.broadcast_clock(scn.clock_start)
+    offer = make_offer_credential(actor_keypair(scn.seed, "ispA"), "Rome-Paris", 50,
+                                  Money(300), "20031125")
+    reply = bus.send("ch", "POST-OFFER", {},
+                     {"offer": _flip_signature_tag(offer.text()).encode()})
+    assert (reply.msg_type, reply.get("code")) == ("ERROR", "bad-signature")
+    assert bus.send("ch", "REPORT").get("offers") == "0"
+
+
+def test_unknown_signature_tag_on_a_booking_is_bad_signature(tmp_path):
+    path = _scn(
+        tmp_path,
+        "customer alice bank 50.00 USD 20041231\n"
+        "post-offer ispA Rome Paris 50 3.00 USD 20031125\n",
+    )
+    scn = parse_scenario(path.read_text(), tmp_path)
+    bus = Bus(build_services(scn))
+    from bandx.scenario import _Runner
+
+    runner = _Runner(scn, bus)
+    runner.setup()
+    runner.run_events()
+    start = runner.clock + 86400
+    [booking] = runner.sessions["alice"].purchase_future(
+        "Rome", "Paris", 50, (start, start + 3600), runner.clock
+    )
+    bus.broadcast_clock(start)
+    reply = bus.send("isp", "ACTIVATE", {"to": "A-Rome"},
+                     {"credential": _flip_signature_tag(booking.text()).encode()})
+    assert (reply.msg_type, reply.get("code")) == ("ERROR", "bad-signature")
+    fabric = bus.services["isp"].fabric
+    assert {r.state for r in fabric.reservations.values()} == {"notional"}
+
+
+@pytest.mark.parametrize("field", ["received", "merchant"])
+def test_deposit_record_without_a_header_field_is_invalid(field):
+    import re
+
+    from bandx.scenario import _Runner
+    from bandx.settlement import encode_record
+
+    scn = parse_scenario((SCENARIOS / "rome-dublin.scn").read_text(), SCENARIOS)
+    bus = Bus(build_services(scn))
+    runner = _Runner(scn, bus)
+    runner.setup()
+    runner.run_events()
+    csc = bus.services["csc"].csc
+    balances = csc.balances()
+    record = encode_record(next(iter(csc.entries())).record)
+    header, _, body = record.partition(b"\n")
+    stripped = re.sub(rb" " + field.encode() + rb"=\S*", b"", header)
+    assert stripped != header
+    reply = bus.send("csc", "DEPOSIT", {"count": "1"},
+                     {"rec000": stripped + b"\n" + body})
+    assert (reply.msg_type, reply.get("code")) == ("ERROR", "invalid")
+    assert f"{field}=" in reply.get("detail")
+    assert csc.balances() == balances
+
+
 # ---------------------------------------------------------------------------
 # Settlement journal across service restarts
 # ---------------------------------------------------------------------------
