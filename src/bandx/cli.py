@@ -21,8 +21,8 @@ from typing import Iterator
 from .credentials import CredentialSyntaxError, parse_credential_blocks
 from .envelope import ProtocolError
 from .keys import export_private, generate_keypair, import_private
-from .money import parse_amount, text_of_instant
-from .offers import make_offer_credential
+from .money import instant_from_text, parse_amount, text_of_instant
+from .offers import make_offer_credential, open_offer
 from .payments import Wallet
 from .qna import QnaSession, raise_for_error
 from .scenario import (
@@ -53,8 +53,6 @@ def _endpoints(args) -> dict[str, tuple[str, int]]:
 
 
 def _now(args) -> int:
-    from .money import instant_from_text
-
     if args.now:
         return instant_from_text(args.now)
     return int(time.time())
@@ -108,8 +106,6 @@ def cmd_search(args) -> int:
                 },
             )
         )
-    from .offers import open_offer
-
     for block in reply.numbered_blocks("offer"):
         offer = open_offer(parse_credential_blocks(block.decode("utf-8"))[0])
         print(
@@ -145,8 +141,6 @@ def cmd_buy(args) -> int:
 
 
 def cmd_book(args) -> int:
-    from .money import instant_from_text
-
     with _session(args) as (session, now):
         creds = session.purchase_future(
             args.link_from, args.link_to, args.mbps,

@@ -39,6 +39,7 @@ from decimal import Decimal, InvalidOperation
 from typing import Iterable, Mapping, NamedTuple
 
 from .keys import (
+    ED25519,
     POLICY,
     KeyMismatch,
     KeyPair,
@@ -721,7 +722,7 @@ def sign_credential(cred: Credential, pair: KeyPair) -> Credential:
         )
     message = canonical_bytes(cred)
     sig = pair.sign(message)
-    signature = (pair.scheme.sig_algorithm, base64.b64encode(sig).decode("ascii"))
+    signature = (ED25519.sig_algorithm, base64.b64encode(sig).decode("ascii"))
     return replace(cred, signature=signature, source_text=_render(message, signature))
 
 
@@ -751,7 +752,7 @@ def verify_signature(cred: Credential) -> bool:
     """True iff the signature validates under the authorizer key.
 
     POLICY credentials are locally trusted and return True. Raises
-    UnsupportedAlgorithm for signature tags with no registered scheme.
+    UnsupportedAlgorithm for a signature tag other than ed25519's.
     A success is remembered (see _memo_key) and not verified again.
     """
     if cred.authorizer == POLICY:
@@ -888,8 +889,8 @@ def _principal_leaves(expr: object) -> set[str]:
 def check_compliance(
     policy: Iterable[Credential],
     creds: Iterable[Credential],
-    requesters: Iterable[PublicKeyId | str] = (),
-    action: ActionAttributeSet | None = None,
+    requesters: Iterable[PublicKeyId | str],
+    action: ActionAttributeSet,
     *,
     fresh: bool = False,
 ) -> bool:
@@ -908,8 +909,6 @@ def check_compliance(
     successes; dispute replay uses it to stay an independent
     re-verification.
     """
-    if action is None:
-        raise ValueError("compliance check requires an action attribute set")
     verify = verify_signature_fresh if fresh else verify_signature
     pool = list(policy) + list(creds)
     for cred in pool:

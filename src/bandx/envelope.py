@@ -29,6 +29,7 @@ MAX_HEADER_LINE = 4096
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_.-]*$")
 _TYPE_RE = re.compile(r"^[A-Z][A-Z0-9-]*$")
+_SENDER_RE = re.compile(r"\S+")
 
 
 class ProtocolError(Exception):
@@ -93,7 +94,7 @@ def encode_payload(fields: dict[str, str], blocks: dict[str, bytes]) -> bytes:
 def encode(env: Envelope) -> bytes:
     if not _TYPE_RE.match(env.msg_type):
         raise ProtocolError(f"bad message type {env.msg_type!r}")
-    if not env.sender or any(c.isspace() for c in env.sender):
+    if not _SENDER_RE.fullmatch(env.sender):
         raise ProtocolError(f"bad sender {env.sender!r}")
     payload = encode_payload(env.fields, env.blocks)
     head = f"{MAGIC} {env.msg_type} {env.sender} {env.seq}\n{len(payload)}\n"
@@ -132,18 +133,26 @@ def decode_payload(data: bytes) -> tuple[dict[str, str], dict[str, bytes]]:
     return fields, blocks
 
 
+def _header_fields(line: bytes) -> list[str]:
+    """The four space-separated fields of a header line, magic first.
+    Only the shape is checked here; `decode` checks each field."""
+    head = line.decode("utf-8", errors="replace").rstrip("\n")
+    parts = head.split(" ")
+    if len(parts) != 4 or parts[0] != MAGIC:
+        raise ProtocolError(f"bad envelope header {head!r}")
+    return parts
+
+
 def decode(data: bytes) -> tuple[Envelope, bytes]:
     """Decode one envelope; returns it and any trailing bytes."""
     head_end = data.find(b"\n")
     if head_end < 0:
         raise ProtocolError("missing envelope header line")
-    head = data[:head_end].decode("utf-8", errors="replace")
-    parts = head.split(" ")
-    if len(parts) != 4 or parts[0] != MAGIC:
-        raise ProtocolError(f"bad envelope header {head!r}")
-    magic, msg_type, sender, seq_text = parts
+    _magic, msg_type, sender, seq_text = _header_fields(data[:head_end])
     if not _TYPE_RE.match(msg_type):
         raise ProtocolError(f"bad message type {msg_type!r}")
+    if not _SENDER_RE.fullmatch(sender):
+        raise ProtocolError(f"bad sender {sender!r}")
     try:
         seq = int(seq_text)
     except ValueError:
@@ -172,21 +181,23 @@ def _read_header_line(stream) -> bytes:
 
 
 def read_envelope(stream) -> Envelope | None:
-    """Read one envelope from a binary file-like stream; None on EOF."""
+    """Read one envelope from a binary file-like stream; None on EOF.
+
+    Only the framing is read here: a line that is not shaped like a
+    header is refused at once, and otherwise the whole frame is read and
+    handed to `decode`, so a frame that `decode` refuses is consumed and
+    the stream stays at the next frame."""
     head = _read_header_line(stream)
     if not head:
         return None
-    parts = head.decode("utf-8", errors="replace").rstrip("\n").split(" ")
-    if len(parts) != 4 or parts[0] != MAGIC:
-        raise ProtocolError(f"bad envelope header {head!r}")
+    _header_fields(head)
     length_line = _read_header_line(stream)
     if not length_line:
         raise ProtocolError("eof before payload length")
     try:
-        seq = int(parts[3])
         length = int(length_line)
     except ValueError:
-        raise ProtocolError("bad header numbers") from None
+        raise ProtocolError("bad payload length") from None
     if length < 0:
         raise ProtocolError(f"payload length {length} outside 0..{MAX_PAYLOAD}")
     if length > MAX_PAYLOAD:
@@ -194,5 +205,4 @@ def read_envelope(stream) -> Envelope | None:
     payload = stream.read(length)
     if len(payload) != length:
         raise ProtocolError("eof inside payload")
-    fields, blocks = decode_payload(payload)
-    return Envelope(parts[1], parts[2], seq, fields, blocks)
+    return decode(head + length_line + payload)[0]

@@ -70,7 +70,7 @@ from .payments import (
 )
 from .settlement import TransactionRecord
 
-DEFAULT_CHALLENGE_TTL = 60  # sim-seconds
+CHALLENGE_TTL = 60  # sim-seconds
 
 
 class ExpiredChallenge(Exception):
@@ -110,7 +110,6 @@ class Challenge:
     challenge_id: str  # 16 random bytes, hex
     ne_id: str
     issued_at: int
-    ttl_seconds: int = DEFAULT_CHALLENGE_TTL
 
 
 @dataclass(frozen=True)
@@ -212,13 +211,11 @@ class BoundaryReferral:
     remaining_offers: tuple[Credential, ...]
 
 
-def make_reservation_credential(
-    isp: KeyPair, res: Reservation, app_domain: str = APP_DOMAIN
-) -> Credential:
+def make_reservation_credential(isp: KeyPair, res: Reservation) -> Credential:
     """Signed commitment redeemable alone at activation time; expires
     with the reserved period."""
     cred = conjunction(isp.public_id, res.customer_key, [
-        pin("app_domain", app_domain),
+        pin("app_domain", APP_DOMAIN),
         pin("reservation_id", res.reservation_id),
         pin("link_names", ",".join(res.link_names)),
         Compare("bandwidth", "==", Literal("number", str(res.bandwidth_mbps)), True),
@@ -257,7 +254,6 @@ class Pdp:
     `open_reservation_credential`."""
 
     trusted_guarantors: list[str]
-    app_domain: str = APP_DOMAIN
 
     def verify_request(self, req: ReservationRequest) -> bool:
         try:
@@ -291,12 +287,9 @@ class Pdp:
             check = open_microcheck(check_cred)
         except ValueError as exc:
             raise PaymentRefused(f"malformed check: {exc}") from exc
-        action = build_purchase_action(
-            offer, bandwidth_mbps, check.amount, check.nonce, date, self.app_domain
-        )
+        action = build_purchase_action(offer, bandwidth_mbps, check.amount, check.nonce, date)
         reason = payment_verdict(
-            offer, check, guarantor, action, isp_key, self.trusted_guarantors,
-            self.app_domain, fresh=False,
+            offer, check, guarantor, action, isp_key, self.trusted_guarantors, fresh=False
         )
         if reason == REASON_UNBUNDLING:
             if bandwidth_mbps > offer.bandwidth_mbps:
@@ -328,10 +321,9 @@ class Pdp:
             raise PaymentRefused(f"malformed check: {exc}") from exc
         if check.amount.cents < price.cents or check.currency != price.currency:
             raise PaymentRefused(f"keepalive requires {price}, got {check.amount}")
-        action = build_keepalive_action(check.amount, check.nonce, date, self.app_domain)
+        action = build_keepalive_action(check.amount, check.nonce, date)
         reason = payment_verdict(
-            None, check, guarantor, action, isp_key, self.trusted_guarantors,
-            self.app_domain, fresh=False,
+            None, check, guarantor, action, isp_key, self.trusted_guarantors, fresh=False
         )
         if reason is not None:
             raise PaymentRefused(f"keepalive refused: {reason}")
@@ -435,16 +427,11 @@ class NetworkElement:
 
     # -- challenges ---------------------------------------------------------
 
-    def issue_challenge(self, now: int, ttl_seconds: int = DEFAULT_CHALLENGE_TTL) -> Challenge:
-        """Fresh unpredictable single-use challenge."""
-        challenge = Challenge(
-            challenge_id=f"{self.rng.getrandbits(128):032x}",
-            ne_id=self.ne_id,
-            issued_at=now,
-            ttl_seconds=ttl_seconds,
-        )
+    def issue_challenge(self, now: int) -> Challenge:
+        """Fresh unpredictable single-use challenge, good for CHALLENGE_TTL."""
+        challenge = Challenge(f"{self.rng.getrandbits(128):032x}", self.ne_id, now)
         self.challenges[challenge.challenge_id] = challenge
-        heapq.heappush(self._challenge_ends, (now + ttl_seconds, challenge.challenge_id))
+        heapq.heappush(self._challenge_ends, (now + CHALLENGE_TTL, challenge.challenge_id))
         return challenge
 
     def _prune_challenges(self, now: int) -> None:
@@ -462,7 +449,7 @@ class NetworkElement:
         challenge = self.challenges.get(challenge_id)
         if challenge is None:
             raise ExpiredChallenge(f"challenge {challenge_id[:8]} unknown at {self.ne_id}")
-        if now > challenge.issued_at + challenge.ttl_seconds:
+        if now > challenge.issued_at + CHALLENGE_TTL:
             raise ExpiredChallenge(f"challenge {challenge_id[:8]} past its ttl")
         # Single use: one complete verification attempt, accept or refuse.
         self.used_challenges.add(challenge_id)
@@ -543,7 +530,7 @@ class NetworkElement:
             raise OutsideInterval("booking interval is empty")
         verified, segments, remaining = self._admit(req, now)
         res = self._establish(req, verified, segments, now, state=NOTIONAL, start=start, end=end)
-        credential = make_reservation_credential(self.isp, res, self.pdp.app_domain)
+        credential = make_reservation_credential(self.isp, res)
         return self._referral(credential, remaining)
 
     def _admit(

@@ -1,9 +1,11 @@
-"""Key identities and the pluggable signature scheme registry.
+"""Key identities and the one signature scheme, ed25519.
 
 A principal is named by the canonical rendering of its public key,
-"<algorithm>:<base64>", with no whitespace. One deterministic modern
-scheme (ed25519) ships as the default; additional schemes register by
-algorithm tag. POLICY is a reserved principal literal, never a key id.
+"<algorithm>:<base64>", with no whitespace. Keys and signatures are
+ed25519, tagged `ed25519-base64` and `sig-ed25519-base64`; a key,
+signature or private key with any other tag is refused with
+UnsupportedAlgorithm. POLICY is a reserved principal literal, never a
+key id.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 POLICY = "POLICY"
 
-DEFAULT_ALGORITHM = "ed25519-base64"
-
 # "<algorithm>:<base64>": a tag of letters, digits and `_.+-`, then
 # base64 characters only, so a key id never carries whitespace, quotes
 # or operators.
@@ -31,7 +31,7 @@ _KEY_ID_RE = re.compile(r"([A-Za-z0-9_.+-]+):([A-Za-z0-9+/]+={0,2})")
 
 
 class UnsupportedAlgorithm(Exception):
-    """Key or signature carries an algorithm tag with no registered scheme."""
+    """Key or signature carries an algorithm tag other than ed25519's."""
 
 
 class KeyMismatch(Exception):
@@ -42,11 +42,11 @@ class KeyMismatch(Exception):
 class PublicKeyId:
     """Algorithm-tagged public key; equality is canonical-rendering equality."""
 
-    algorithm: str
+    tag: str  # algorithm tag, checked by scheme_for_key
     material: str  # base64 key bytes, as rendered
 
     def canonical(self) -> str:
-        return f"{self.algorithm}:{self.material}"
+        return f"{self.tag}:{self.material}"
 
     def __str__(self) -> str:
         return self.canonical()
@@ -71,61 +71,22 @@ def read_key_id(text: str) -> tuple[PublicKeyId, str]:
     return key, key.canonical()
 
 
-class SignatureScheme:
-    """Interface implemented by each registered algorithm."""
-
-    key_algorithm: str  # tag used in key ids
-    sig_algorithm: str  # tag used on Signature lines
-
-    def generate(self, seed: bytes | None = None) -> "KeyPair":
-        raise NotImplementedError
-
-    def load_private(self, material_b64: str) -> "KeyPair":
-        raise NotImplementedError
-
-    def sign(self, private: object, message: bytes) -> bytes:
-        raise NotImplementedError
-
-    def verify(self, key: PublicKeyId, message: bytes, signature: bytes) -> bool:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
 class KeyPair:
-    scheme: SignatureScheme
-    private: object
+    private: Ed25519PrivateKey
     public_id: PublicKeyId
 
     def sign(self, message: bytes) -> bytes:
-        return self.scheme.sign(self.private, message)
+        return ED25519.sign(self.private, message)
 
 
-class Ed25519Scheme(SignatureScheme):
-    key_algorithm = "ed25519-base64"
-    sig_algorithm = "sig-ed25519-base64"
+class Ed25519Scheme:
+    """Signing and verification under the two ed25519 tags."""
 
-    def generate(self, seed: bytes | None = None) -> KeyPair:
-        if seed is None:
-            private = Ed25519PrivateKey.generate()
-        else:
-            private = Ed25519PrivateKey.from_private_bytes(hashlib.sha256(seed).digest())
-        return self._pair(private)
+    key_algorithm = "ed25519-base64"  # tag used in key ids
+    sig_algorithm = "sig-ed25519-base64"  # tag used on Signature lines
 
-    def load_private(self, material_b64: str) -> KeyPair:
-        raw = base64.b64decode(material_b64.encode("ascii"))
-        return self._pair(Ed25519PrivateKey.from_private_bytes(raw))
-
-    def _pair(self, private: Ed25519PrivateKey) -> KeyPair:
-        from cryptography.hazmat.primitives import serialization
-
-        pub_raw = private.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
-        material = base64.b64encode(pub_raw).decode("ascii")
-        return KeyPair(self, private, PublicKeyId(self.key_algorithm, material))
-
-    def sign(self, private: object, message: bytes) -> bytes:
-        assert isinstance(private, Ed25519PrivateKey)
+    def sign(self, private: Ed25519PrivateKey, message: bytes) -> bytes:
         return private.sign(message)
 
     def verify(self, key: PublicKeyId, message: bytes, signature: bytes) -> bool:
@@ -136,6 +97,9 @@ class Ed25519Scheme(SignatureScheme):
             return False
 
 
+ED25519 = Ed25519Scheme()
+
+
 @functools.lru_cache(maxsize=1024)
 def _ed25519_public_key(material: str) -> Ed25519PublicKey:
     """Public key object per key material; malformed material raises
@@ -143,65 +107,45 @@ def _ed25519_public_key(material: str) -> Ed25519PublicKey:
     return Ed25519PublicKey.from_public_bytes(base64.b64decode(material.encode("ascii")))
 
 
-_SCHEMES: dict[str, SignatureScheme] = {}
-_SIG_SCHEMES: dict[str, SignatureScheme] = {}
+def scheme_for_key(key: PublicKeyId) -> Ed25519Scheme:
+    if key.tag != ED25519.key_algorithm:
+        raise UnsupportedAlgorithm(f"unsupported key tag {key.tag!r}")
+    return ED25519
 
 
-def register_scheme(scheme: SignatureScheme) -> None:
-    _SCHEMES[scheme.key_algorithm] = scheme
-    _SIG_SCHEMES[scheme.sig_algorithm] = scheme
+def scheme_for_signature(tag: str) -> Ed25519Scheme:
+    if tag != ED25519.sig_algorithm:
+        raise UnsupportedAlgorithm(f"unsupported signature tag {tag!r}")
+    return ED25519
 
 
-register_scheme(Ed25519Scheme())
+def _pair(private: Ed25519PrivateKey) -> KeyPair:
+    material = base64.b64encode(private.public_key().public_bytes_raw()).decode("ascii")
+    return KeyPair(private, PublicKeyId(ED25519.key_algorithm, material))
 
 
-def scheme_for_key(key: PublicKeyId) -> SignatureScheme:
-    scheme = _SCHEMES.get(key.algorithm)
-    if scheme is None:
-        raise UnsupportedAlgorithm(f"no scheme registered for key algorithm {key.algorithm!r}")
-    return scheme
-
-
-def scheme_for_signature(sig_algorithm: str) -> SignatureScheme:
-    scheme = _SIG_SCHEMES.get(sig_algorithm)
-    if scheme is None:
-        raise UnsupportedAlgorithm(f"no scheme registered for signature tag {sig_algorithm!r}")
-    return scheme
-
-
-def generate_keypair(seed: bytes | str | int | None = None,
-                     algorithm: str = DEFAULT_ALGORITHM) -> KeyPair:
+def generate_keypair(seed: bytes | str | int | None = None) -> KeyPair:
     """Generate a keypair; a seed of any flavor makes generation deterministic."""
-    scheme = _SCHEMES.get(algorithm)
-    if scheme is None:
-        raise UnsupportedAlgorithm(f"no scheme registered for key algorithm {algorithm!r}")
+    if seed is None:
+        return _pair(Ed25519PrivateKey.generate())
     if isinstance(seed, int):
         seed = str(seed).encode("ascii")
     elif isinstance(seed, str):
         seed = seed.encode("utf-8")
-    return scheme.generate(seed)
+    return _pair(Ed25519PrivateKey.from_private_bytes(hashlib.sha256(seed).digest()))
 
 
 def export_private(pair: KeyPair) -> str:
     """Serialize a private key as "<key-algorithm>-secret:<base64 raw>"."""
-    from cryptography.hazmat.primitives import serialization
-
-    assert isinstance(pair.private, Ed25519PrivateKey)
-    raw = pair.private.private_bytes(
-        serialization.Encoding.Raw,
-        serialization.PrivateFormat.Raw,
-        serialization.NoEncryption(),
-    )
-    return f"{pair.scheme.key_algorithm}-secret:{base64.b64encode(raw).decode('ascii')}"
+    raw = base64.b64encode(pair.private.private_bytes_raw()).decode("ascii")
+    return f"{ED25519.key_algorithm}-secret:{raw}"
 
 
 def import_private(text: str) -> KeyPair:
-    text = text.strip()
-    tag, _, material = text.partition(":")
+    tag, _, material = text.strip().partition(":")
     if not tag.endswith("-secret") or not material:
         raise ValueError("expected <algorithm>-secret:<base64>")
-    algorithm = tag[: -len("-secret")]
-    scheme = _SCHEMES.get(algorithm)
-    if scheme is None:
-        raise UnsupportedAlgorithm(f"no scheme registered for key algorithm {algorithm!r}")
-    return scheme.load_private(material)
+    if tag != f"{ED25519.key_algorithm}-secret":
+        raise UnsupportedAlgorithm(f"unsupported private key tag {tag!r}")
+    raw = base64.b64decode(material.encode("ascii"))
+    return _pair(Ed25519PrivateKey.from_private_bytes(raw))

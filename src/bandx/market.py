@@ -37,7 +37,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .credentials import Credential
+from .credentials import Credential, parse_credential_blocks
 from .money import Money, is_date
 from .offers import Offer, open_offer, validate_unbundling
 
@@ -258,8 +258,6 @@ class ClearingHouse:
         """Post every live offer of an export; returns how many were
         live. An offer no longer live at `now` is skipped, as the
         source's next tick would drop it."""
-        from .credentials import parse_credential_blocks
-
         count = 0
         for cred in parse_credential_blocks(text):
             try:

@@ -96,7 +96,6 @@ def make_offer_credential(
     unbundling_allowed: bool = True,
     qos_class: str = QOS_RESERVED,
     path_hint: tuple[str, ...] = (),
-    app_domain: str = APP_DOMAIN,
 ) -> Credential:
     """Build and sign an offer credential following the schema above."""
     if bandwidth_mbps <= 0:
@@ -109,7 +108,7 @@ def make_offer_credential(
         raise ValueError(f"unknown qos class {qos_class!r}")
 
     tests = [
-        pin("app_domain", app_domain),
+        pin("app_domain", APP_DOMAIN),
         pin("currency", min_price.currency),
         pin("link_name", link_name),
     ]

@@ -68,7 +68,6 @@ def issue_guarantor_credential(
     limit: Money,
     expiry: str,
     now: str | None = None,
-    app_domain: str = APP_DOMAIN,
 ) -> Credential:
     """Signed credential admitting any amount up to the limit before expiry.
 
@@ -83,7 +82,7 @@ def issue_guarantor_credential(
         raise ValueError(f"expiry {expiry} is not in the future of {now}")
     bound = Money(limit.cents + 1, limit.currency)
     cred = conjunction(guarantor.public_id, payer_key, [
-        pin("app_domain", app_domain),
+        pin("app_domain", APP_DOMAIN),
         pin("currency", limit.currency),
         Compare("amount", "<", Literal("number", bound.as_decimal_str()), True),
         Compare("date", "<", Literal("string", expiry), False),
@@ -122,7 +121,6 @@ class Wallet:
 
     pair: KeyPair
     guarantor_credential: Credential | None = None
-    app_domain: str = APP_DOMAIN
     _used_nonces: set[str] = field(default_factory=set)
 
     def write_check(
@@ -146,7 +144,7 @@ class Wallet:
         if amount.cents <= 0:
             raise ValueError("a check is for a positive amount")
         cred = conjunction(self.pair.public_id, merchant_key, [
-            pin("app_domain", self.app_domain),
+            pin("app_domain", APP_DOMAIN),
             pin("currency", amount.currency),
             pin("amount", amount.as_decimal_str()),
             pin("nonce", nonce),
@@ -160,26 +158,23 @@ class Wallet:
 def build_merchant_policy(
     merchant_key: PublicKeyId | str,
     trusted_guarantors: list[PublicKeyId | str],
-    app_domain: str = APP_DOMAIN,
 ) -> Credential:
     """Local policy: any trusted guarantor jointly with the merchant key."""
     if not trusted_guarantors:
         raise ValueError("policy requires at least one trusted guarantor key")
-    return _policy(
-        tuple(str(g) for g in trusted_guarantors), str(merchant_key), app_domain
-    )
+    return _policy(tuple(str(g) for g in trusted_guarantors), str(merchant_key))
 
 
 @functools.lru_cache(maxsize=256)
-def _policy(guarantors: tuple, merchant: str | None, app_domain: str) -> Credential:
+def _policy(guarantors: tuple, merchant: str | None) -> Credential:
     """POLICY licensing any of `guarantors`, jointly with `merchant` when
     given. Built once per arguments, structurally: the AST that parsing
-    `("G1" || "G2") && "M"` and `app_domain == "D" -> "true";` gives."""
+    `("G1" || "G2") && "M"` and `app_domain == "BAND-X" -> "true";` gives."""
     leaves = tuple(KeyLeaf(read_key_id(g)[1]) for g in guarantors)
     licensees = leaves[0] if len(leaves) == 1 else POr(leaves)
     if merchant is not None:
         licensees = PAnd((licensees, KeyLeaf(read_key_id(merchant)[1])))
-    return Credential(2, (), POLICY, licensees, (Clause(pin("app_domain", app_domain), "true"),))
+    return Credential(2, (), POLICY, licensees, (Clause(pin("app_domain", APP_DOMAIN), "true"),))
 
 
 def build_purchase_action(
@@ -188,14 +183,13 @@ def build_purchase_action(
     amount: Money,
     nonce: str,
     date: str,
-    app_domain: str = APP_DOMAIN,
 ) -> ActionAttributeSet:
     """The shared action for one link purchase: check pins plus the
     offer's own data pins echoed back, so every equality pin in the
     offer is satisfiable by construction and only the marketed bounds
     (amount floor, bandwidth bound, expiry) actually constrain."""
     attrs = {
-        "app_domain": app_domain,
+        "app_domain": APP_DOMAIN,
         "currency": amount.currency,
         "amount": amount.as_decimal_str(),
         "nonce": nonce,
@@ -211,14 +205,12 @@ def build_purchase_action(
     return ActionAttributeSet(attrs)
 
 
-def build_keepalive_action(
-    amount: Money, nonce: str, date: str, app_domain: str = APP_DOMAIN
-) -> ActionAttributeSet:
+def build_keepalive_action(amount: Money, nonce: str, date: str) -> ActionAttributeSet:
     """Action for a periodic keep-the-reservation-alive payment; carries
     no link attributes because no offer credential participates."""
     return ActionAttributeSet(
         {
-            "app_domain": app_domain,
+            "app_domain": APP_DOMAIN,
             "currency": amount.currency,
             "amount": amount.as_decimal_str(),
             "nonce": nonce,
@@ -259,12 +251,10 @@ def verify_keepalive_payment(
     )
 
 
-def build_keepalive_policy(
-    trusted_guarantors: list[PublicKeyId | str], app_domain: str = APP_DOMAIN
-) -> Credential:
+def build_keepalive_policy(trusted_guarantors: list[PublicKeyId | str]) -> Credential:
     if not trusted_guarantors:
         raise ValueError("policy requires at least one trusted guarantor key")
-    return _policy(tuple(str(g) for g in trusted_guarantors), None, app_domain)
+    return _policy(tuple(str(g) for g in trusted_guarantors), None)
 
 
 def payment_verdict(
@@ -274,7 +264,6 @@ def payment_verdict(
     action: ActionAttributeSet,
     merchant_key: str,
     trusted_guarantors: list[str],
-    app_domain: str,
     *,
     fresh: bool,
 ) -> str | None:
@@ -299,7 +288,7 @@ def payment_verdict(
     try:
         if offer is None:
             ok = verify_keepalive_payment(
-                build_keepalive_policy(trusted_guarantors, app_domain),
+                build_keepalive_policy(trusted_guarantors),
                 guarantor, check.credential, merchant_key, action, fresh=fresh,
             )
         else:
@@ -308,7 +297,7 @@ def payment_verdict(
                 verify = verify_signature_fresh if fresh else verify_signature
                 return fault if verify(offer.credential) else REASON_BAD_SIGNATURE
             ok = verify_payment(
-                build_merchant_policy(merchant_key, trusted_guarantors, app_domain),
+                build_merchant_policy(merchant_key, trusted_guarantors),
                 guarantor, offer.credential, check.credential, action, fresh=fresh,
             )
     except (UnverifiedCredential, UnsupportedAlgorithm):

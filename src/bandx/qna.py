@@ -15,7 +15,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .credentials import BadSignature, Credential, parse_credential
+from .credentials import BadSignature, Credential, parse_credential, verify_signature
 from .envelope import Envelope, ProtocolError
 from .fabric import (
     CapacityExhausted,
@@ -100,8 +100,6 @@ class QnaSession:
     def __post_init__(self) -> None:
         # The agent never signs over credentials it has not verified,
         # its own guarantor credential included.
-        from .credentials import verify_signature
-
         cwc = self.wallet.guarantor_credential
         if cwc is not None and not verify_signature(cwc):
             raise BadSignature("guarantor credential failed signature verification")

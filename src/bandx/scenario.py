@@ -16,11 +16,13 @@ under `bandx serve` from the JSON that `materialize_configs` writes.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .credentials import parse_credential
+from .fabric import open_reservation_credential
 from .keys import KeyPair, export_private, generate_keypair
 from .money import (
     Money,
@@ -32,6 +34,7 @@ from .offers import make_offer_credential
 from .payments import Wallet
 from .qna import PartialEstablishment, PurchaseHandle, QnaSession, raise_for_error
 from .services import Bus, ServiceCore, Transport, build_role, error_code
+from .settlement import SETTLEMENT_ACCOUNT
 
 
 class ScenarioParseError(Exception):
@@ -194,7 +197,7 @@ class _Runner:
             pair = actor_keypair(scn.seed, name)
             self.keys[name] = pair
             self.names_by_key[pair.public_id.canonical()] = name
-        self.names_by_key["csc"] = "csc"
+        self.names_by_key[SETTLEMENT_ACCOUNT] = SETTLEMENT_ACCOUNT
         self.isp_decl = {i.name: i for i in scn.isps}
         self.transport.broadcast_clock(self.clock)
         for decl in scn.customers:
@@ -332,7 +335,8 @@ class _Runner:
         what = event.args[0]
         if what == "balance":
             _, actor, currency, expected = event.args
-            key = self.keys[actor].public_id.canonical() if actor != "csc" else "csc"
+            key = (SETTLEMENT_ACCOUNT if actor == SETTLEMENT_ACCOUNT
+                   else self.keys[actor].public_id.canonical())
             reply = raise_for_error(
                 self.transport.send("csc", "BALANCE", {"key": key, "currency": currency})
             )
@@ -380,8 +384,6 @@ class _Runner:
         if isinstance(handle, PurchaseHandle):
             return [leg.reservation_id for leg in handle.legs]
         if isinstance(handle, list):  # booking credentials
-            from .fabric import open_reservation_credential
-
             return [open_reservation_credential(c)["reservation_id"] for c in handle]
         raise AssertionFailed(index, f"unknown handle {handle_name!r}")
 
@@ -536,8 +538,6 @@ def materialize_configs(
     """Write one JSON config per role, `role_configs` plus its `listen`
     address and the settlement journal under `outdir`, so `bandx serve`
     processes come up as the in-process services would."""
-    import json
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}

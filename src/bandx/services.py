@@ -26,8 +26,9 @@ from .credentials import (
     UnverifiedCredential,
     parse_credential,
 )
-from .envelope import Envelope, FramingLost, ProtocolError, encode, read_envelope
+from .envelope import Envelope, FramingLost, ProtocolError, decode, encode, read_envelope
 from .fabric import (
+    CHALLENGE_TTL,
     BoundaryReferral,
     CapacityExhausted,
     ExpiredChallenge,
@@ -117,8 +118,6 @@ class ServiceCore:
     def handle_bytes(self, data: bytes) -> bytes:
         """Socket-side entry: decode, dispatch, encode; malformed input
         gets an ERROR reply and the connection survives."""
-        from .envelope import decode
-
         try:
             env, _ = decode(data)
         except ProtocolError as exc:
@@ -256,7 +255,7 @@ class IspService(ServiceCore):
                 "challenge_id": challenge.challenge_id,
                 "ne_id": challenge.ne_id,
                 "issued_at": str(challenge.issued_at),
-                "ttl": str(challenge.ttl_seconds),
+                "ttl": str(CHALLENGE_TTL),
             },
         )
 
@@ -516,8 +515,6 @@ class Bus(Transport):
         reply_bytes = self.services[dest].handle_bytes(request)
         if self.transcript is not None:
             self.transcript += (request, reply_bytes)
-        from .envelope import decode
-
         reply, _ = decode(reply_bytes)
         return reply
 

@@ -27,7 +27,7 @@ from typing import BinaryIO, Iterable, Iterator
 from .credentials import ActionAttributeSet, Credential, parse_credential
 from .keys import PublicKeyId
 from .money import Money
-from .offers import APP_DOMAIN, MalformedOffer, derive_offer_fields
+from .offers import MalformedOffer, derive_offer_fields
 from .payments import (  # the verdict's reasons are this module's rejection reasons too
     REASON_BAD_SIGNATURE,
     REASON_MALFORMED,
@@ -42,6 +42,8 @@ from .payments import (  # the verdict's reasons are this module's rejection rea
 
 REASON_DOUBLE_DEPOSIT = "double-deposit"
 REASON_AGGREGATE_CAP = "aggregate-cap"
+
+SETTLEMENT_ACCOUNT = "csc"  # the ledger account that collects commission
 
 
 @dataclass(frozen=True)
@@ -103,14 +105,12 @@ class SettlementCenter:
         trusted_guarantors: Iterable[PublicKeyId | str],
         commission_basis_points: int = 100,
         journal_path: str | Path | None = None,
-        app_domain: str = APP_DOMAIN,
         daily_payer_cap: Money | None = None,
     ) -> None:
         self._guarantors = [str(g) for g in trusted_guarantors]
         if not self._guarantors:
             raise ValueError("settlement requires at least one trusted guarantor")
         self._bp = commission_basis_points
-        self._app_domain = app_domain
         self._daily_cap = daily_payer_cap
         self._lock = threading.Lock()
         self._balances: dict[tuple[str, str], int] = {}
@@ -167,10 +167,6 @@ class SettlementCenter:
     def entries(self) -> Iterator[JournalEntry]:
         return iter(list(self._entries))
 
-    @property
-    def settlement_key(self) -> str:
-        return "csc"
-
     # -- verdict ------------------------------------------------------------
 
     def _verdict(
@@ -189,7 +185,7 @@ class SettlementCenter:
                 return REASON_MALFORMED
         return payment_verdict(
             offer, check, record.guarantor, record.action, record.merchant_key,
-            self._guarantors, self._app_domain, fresh=fresh,
+            self._guarantors, fresh=fresh,
         )
 
     # -- processing ---------------------------------------------------------
@@ -249,8 +245,8 @@ class SettlementCenter:
         self._balances[(entry.record.merchant_key, cur)] = (
             self._balances.get((entry.record.merchant_key, cur), 0) + merchant_gain
         )
-        self._balances[(self.settlement_key, cur)] = (
-            self._balances.get((self.settlement_key, cur), 0) + entry.commission_cents
+        self._balances[(SETTLEMENT_ACCOUNT, cur)] = (
+            self._balances.get((SETTLEMENT_ACCOUNT, cur), 0) + entry.commission_cents
         )
         key = (entry.payer, date, cur)
         self._daily_totals[key] = self._daily_totals.get(key, 0) + entry.amount_cents

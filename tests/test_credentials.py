@@ -40,6 +40,7 @@ from bandx.keys import (
     KeyMismatch,
     UnsupportedAlgorithm,
     generate_keypair,
+    import_private,
     read_key_id,
 )
 
@@ -413,6 +414,11 @@ def test_unknown_signature_algorithm_raises():
     cred = parse_credential(PAPER_CG)
     with pytest.raises(UnsupportedAlgorithm):
         verify_signature(cred)
+
+
+def test_a_private_key_of_another_algorithm_is_refused():
+    with pytest.raises(UnsupportedAlgorithm):
+        import_private("rsa-secret:AAAA")
 
 
 def test_bit_flipped_signatures_all_fail():

@@ -71,6 +71,8 @@ def test_concatenated_envelopes_decode_in_order():
         b"",
         b"NOPE A s 1\n0\n",
         b"BANDX1 A s\n0\n",
+        b"BANDX1 A  1\n0\n",
+        b"BANDX1 A s\tt 1\n0\n",
         b"BANDX1 A s x\n0\n",
         b"BANDX1 A s 1\nnope\n",
         b"BANDX1 A s 1\n100\nshort",
@@ -91,6 +93,15 @@ def test_stream_reader_matches_decode():
     assert read_envelope(stream) == env
     assert read_envelope(stream) == env
     assert read_envelope(stream) is None
+    # A type decode refuses is refused from a stream too, after the
+    # whole frame is read, so the next frame still reads.
+    lowercase = b"BANDX1 report qna 1\n0\n"
+    with pytest.raises(ProtocolError, match="bad message type"):
+        decode(lowercase)
+    stream = io.BytesIO(lowercase + encode(env))
+    with pytest.raises(ProtocolError, match="bad message type"):
+        read_envelope(stream)
+    assert read_envelope(stream) == env
 
 
 @pytest.mark.parametrize("length", [-1, -(2 ** 40), MAX_PAYLOAD + 1])

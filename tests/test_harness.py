@@ -412,6 +412,45 @@ def test_unknown_signature_tag_on_a_booking_is_bad_signature(tmp_path):
     assert {r.state for r in fabric.reservations.values()} == {"notional"}
 
 
+def test_a_spot_request_from_a_key_of_another_algorithm_is_payment_refused(tmp_path):
+    path = _scn(
+        tmp_path,
+        "customer alice bank 50.00 USD 20041231\n"
+        "post-offer ispA Rome Paris 50 3.00 USD 20031125\n"
+        "buy-spot alice Rome Paris 50 handle=pipe\n",
+    )
+    scn = parse_scenario(path.read_text(), tmp_path)
+    bus = Bus(build_services(scn), transcript=[])
+    run_parsed(scn, bus)
+    [request] = [env for env in _transcript_envelopes(b"".join(bus.transcript))
+                 if env.msg_type == "RESERVE-SPOT"]
+    from base64 import b64encode
+
+    from bandx.credentials import parse_credential
+    from bandx.fabric import request_message
+    from bandx.scenario import actor_keypair
+
+    alice = actor_keypair(scn.seed, "alice")
+    creds = {k: parse_credential(v.decode()) for k, v in request.blocks.items()}
+    offers = tuple(creds[k] for k in sorted(creds) if k.startswith("offer"))
+    checks = tuple(creds[k] for k in sorted(creds) if k.startswith("check"))
+
+    def resend(tag: str) -> Envelope:
+        # Alice's own key and a valid signature over a fresh challenge:
+        # only the tag on the key id differs between the two requests.
+        challenge = bus.send("isp", "CHALLENGE-REQ", {"to": request.require("to")})
+        challenge_id = challenge.require("challenge_id")
+        message = request_message(challenge_id, offers, creds["guarantor"], checks, 50)
+        fields = {**request.fields, "challenge_id": challenge_id,
+                  "customer_key": f"{tag}:{alice.public_id.material}",
+                  "signature": b64encode(alice.sign(message)).decode()}
+        return bus.send("isp", "RESERVE-SPOT", fields, request.blocks)
+
+    reply = resend("rsa")
+    assert (reply.msg_type, reply.get("code")) == ("ERROR", "payment-refused")
+    assert resend("ed25519-base64").msg_type == "RESERVED"
+
+
 @pytest.mark.parametrize("field", ["received", "merchant"])
 def test_deposit_record_without_a_header_field_is_invalid(field):
     import re

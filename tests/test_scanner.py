@@ -51,7 +51,7 @@ from bandx.envelope import decode
 from bandx.fabric import Reservation, make_reservation_credential
 from bandx.keys import POLICY, generate_keypair
 from bandx.money import Money, prorated_cents, text_of_instant
-from bandx.offers import QOS_PREMIUM, QOS_RESERVED, make_offer_credential
+from bandx.offers import APP_DOMAIN, QOS_PREMIUM, QOS_RESERVED, make_offer_credential
 from bandx.payments import (
     Wallet,
     build_keepalive_policy,
@@ -249,33 +249,32 @@ def test_render_parse_keeps_canonical_bytes(cred):
 # Structural POLICY against the text-built one
 # ---------------------------------------------------------------------------
 
-def _text_merchant_policy(merchant: str, guarantors: list[str], app_domain: str) -> Credential:
+def _text_merchant_policy(merchant: str, guarantors: list[str]) -> Credential:
     guarantor_part = (
         f'"{guarantors[0]}"' if len(guarantors) == 1
         else "(" + " || ".join(f'"{g}"' for g in guarantors) + ")"
     )
     return build_credential(
-        POLICY, f'{guarantor_part} && "{merchant}"', f'app_domain == "{app_domain}" -> "true";'
+        POLICY, f'{guarantor_part} && "{merchant}"', f'app_domain == "{APP_DOMAIN}" -> "true";'
     )
 
 
-def _text_keepalive_policy(guarantors: list[str], app_domain: str) -> Credential:
+def _text_keepalive_policy(guarantors: list[str]) -> Credential:
     body = " || ".join(f'"{g}"' for g in guarantors)
-    return build_credential(POLICY, body, f'app_domain == "{app_domain}" -> "true";')
+    return build_credential(POLICY, body, f'app_domain == "{APP_DOMAIN}" -> "true";')
 
 
 def test_structural_policies_equal_text_built_ones():
     merchant = _KEYS[0]
     for guarantors in (_KEYS[1:2], _KEYS[1:4]):
-        for domain in ("BAND-X", "elsewhere"):
-            built = build_merchant_policy(merchant, guarantors, domain)
-            parsed = _text_merchant_policy(merchant, guarantors, domain)
-            assert canonical_bytes(built) == canonical_bytes(parsed)
-            assert built == parsed
-            built = build_keepalive_policy(guarantors, domain)
-            parsed = _text_keepalive_policy(guarantors, domain)
-            assert canonical_bytes(built) == canonical_bytes(parsed)
-            assert built == parsed
+        built = build_merchant_policy(merchant, guarantors)
+        parsed = _text_merchant_policy(merchant, guarantors)
+        assert canonical_bytes(built) == canonical_bytes(parsed)
+        assert built == parsed
+        built = build_keepalive_policy(guarantors)
+        parsed = _text_keepalive_policy(guarantors)
+        assert canonical_bytes(built) == canonical_bytes(parsed)
+        assert built == parsed
 
 
 def test_policy_is_built_once_per_arguments():
@@ -292,31 +291,31 @@ def test_policy_is_built_once_per_arguments():
 # Frozen copies of the text path each builder replaced: condition text
 # formatted with the values spliced in, then parsed by build_credential.
 
-def _text_check(pair, merchant, amount, nonce, date, app_domain):
+def _text_check(pair, merchant, amount, nonce, date):
     return build_credential(
         pair.public_id,
         f'"{merchant}"',
-        f'app_domain == "{app_domain}" && currency == "{amount.currency}" '
+        f'app_domain == "{APP_DOMAIN}" && currency == "{amount.currency}" '
         f'&& amount == "{amount.as_decimal_str()}" && nonce == "{nonce}" '
         f'&& date == "{date}" -> "true";',
     )
 
 
-def _text_guarantor(guarantor, payer_key, limit, expiry, app_domain):
+def _text_guarantor(guarantor, payer_key, limit, expiry):
     bound = Money(limit.cents + 1, limit.currency)
     return build_credential(
         guarantor.public_id,
         f'"{payer_key}"',
-        f'app_domain == "{app_domain}" && currency == "{limit.currency}" '
+        f'app_domain == "{APP_DOMAIN}" && currency == "{limit.currency}" '
         f"&& &amount < {bound.as_decimal_str()} "
         f'&& date < "{expiry}" -> "true";',
     )
 
 
 def _text_offer(isp, link_name, bandwidth_mbps, min_price, valid_until, unbundling_allowed,
-                qos_class, path_hint, app_domain):
+                qos_class, path_hint):
     parts = [
-        f'app_domain == "{app_domain}"',
+        f'app_domain == "{APP_DOMAIN}"',
         f'currency == "{min_price.currency}"',
         f'link_name == "{link_name}"',
     ]
@@ -336,11 +335,11 @@ def _text_offer(isp, link_name, bandwidth_mbps, min_price, valid_until, unbundli
     return build_credential(isp.public_id, "", " && ".join(parts) + ' -> "true";')
 
 
-def _text_reservation(isp, res, app_domain):
+def _text_reservation(isp, res):
     return build_credential(
         isp.public_id,
         f'"{res.customer_key}"',
-        f'app_domain == "{app_domain}" '
+        f'app_domain == "{APP_DOMAIN}" '
         f'&& reservation_id == "{res.reservation_id}" '
         f'&& link_names == "{",".join(res.link_names)}" '
         f"&& &bandwidth == {res.bandwidth_mbps} "
@@ -368,47 +367,44 @@ _CENTS = st.integers(min_value=1, max_value=10 ** 9)
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_PAIRS), st.sampled_from(_KEYS), _CENTS, _VALUES,
-       _VALUES.map(lambda v: "n" * 12 + v), _DATES, _VALUES)
-def test_structural_check_equals_text_built(pair, merchant, cents, currency, nonce, date,
-                                            domain):
+       _VALUES.map(lambda v: "n" * 12 + v), _DATES)
+def test_structural_check_equals_text_built(pair, merchant, cents, currency, nonce, date):
     amount = Money(cents, currency)
-    built = Wallet(pair, app_domain=domain).write_check(merchant, amount, nonce, date)
-    _same(built, _text_check(pair, merchant, amount, nonce, date, domain), pair)
+    built = Wallet(pair).write_check(merchant, amount, nonce, date)
+    _same(built, _text_check(pair, merchant, amount, nonce, date), pair)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(_PAIRS), st.sampled_from(_KEYS), _CENTS, _VALUES, _DATES, _VALUES)
-def test_structural_guarantor_equals_text_built(guarantor, payer, cents, currency, expiry,
-                                                domain):
+@given(st.sampled_from(_PAIRS), st.sampled_from(_KEYS), _CENTS, _VALUES, _DATES)
+def test_structural_guarantor_equals_text_built(guarantor, payer, cents, currency, expiry):
     limit = Money(cents, currency)
-    built = issue_guarantor_credential(guarantor, payer, limit, expiry, app_domain=domain)
-    _same(built, _text_guarantor(guarantor, payer, limit, expiry, domain), guarantor)
+    built = issue_guarantor_credential(guarantor, payer, limit, expiry)
+    _same(built, _text_guarantor(guarantor, payer, limit, expiry), guarantor)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_PAIRS), _VALUES, st.integers(min_value=1, max_value=10 ** 5), _CENTS,
        _VALUES, _DATES, st.booleans(), st.sampled_from([QOS_RESERVED, QOS_PREMIUM]),
-       st.lists(_VALUES, max_size=3).map(tuple), _VALUES)
+       st.lists(_VALUES, max_size=3).map(tuple))
 def test_structural_offer_equals_text_built(isp, link, mbps, cents, currency, until, unbundle,
-                                            qos, hint, domain):
+                                            qos, hint):
     price = Money(cents, currency)
-    built = make_offer_credential(isp, link, mbps, price, until, unbundle, qos, hint, domain)
-    text_built = _text_offer(isp, link, mbps, price, until, unbundle, qos, hint, domain)
+    built = make_offer_credential(isp, link, mbps, price, until, unbundle, qos, hint)
+    text_built = _text_offer(isp, link, mbps, price, until, unbundle, qos, hint)
     _same(built, text_built, isp)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_PAIRS), st.sampled_from(_KEYS), _VALUES,
        st.lists(_VALUES, min_size=1, max_size=3), st.integers(min_value=1, max_value=10 ** 5),
-       st.integers(min_value=0, max_value=2 ** 33), st.integers(min_value=1, max_value=10 ** 7),
-       _VALUES)
+       st.integers(min_value=0, max_value=2 ** 33), st.integers(min_value=1, max_value=10 ** 7))
 def test_structural_reservation_equals_text_built(isp, customer, res_id, links, mbps, start,
-                                                  length, domain):
+                                                  length):
     res = Reservation(res_id, "notional", isp.public_id.canonical(),
                       tuple(("ne", "ne", name) for name in links), mbps, start, start + length,
                       customer)
-    built = make_reservation_credential(isp, res, domain)
-    _same(built, _text_reservation(isp, res, domain), isp)
+    built = make_reservation_credential(isp, res)
+    _same(built, _text_reservation(isp, res), isp)
 
 
 def test_a_quote_in_a_value_stays_inside_one_literal():

@@ -141,6 +141,16 @@ def test_framing_lost_gets_one_error_then_the_connection_closes(live_world, data
     assert detail in replies[0].get("detail")
 
 
+@pytest.mark.parametrize("msg_type", ["report", "Report"])
+def test_a_type_the_bus_refuses_is_refused_over_a_socket(live_world, msg_type):
+    _scn, _services, endpoints = live_world
+    data = f"BANDX1 {msg_type} qna 1\n0\n".encode() + encode(Envelope("REPORT", "qna", 2))
+    replies = _replies_until_eof(endpoints["ch"], data)
+    assert [(r.msg_type, r.get("code")) for r in replies] == [
+        ("ERROR", "protocol"), ("CH-REPORT", None)]
+    assert "bad message type" in replies[0].get("detail")
+
+
 def test_unknown_message_type_over_socket(live_world):
     _scn, _services, endpoints = live_world
     transport = SocketTransport(endpoints)
