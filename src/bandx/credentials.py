@@ -33,6 +33,7 @@ import base64
 import functools
 import hashlib
 import re
+import sys
 import threading
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
@@ -131,28 +132,28 @@ class _Anyone:
 Anyone = _Anyone()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyLeaf:
     key: str  # canonical <algorithm>:<base64>
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PAnd:
     children: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class POr:
     children: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     kind: str  # "string" | "number"
     text: str  # lexeme, unquoted for strings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compare:
     attr: str
     op: str  # == != < <= > >=
@@ -160,28 +161,28 @@ class Compare:
     numeric: bool  # True when the attribute reference carried the & prefix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CAnd:
     children: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class COr:
     children: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CNot:
     child: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     test: object
     result: str  # "true" | "false"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Credential:
     version: int
     local_constants: tuple  # ((name, value), ...) sorted by name
@@ -190,6 +191,10 @@ class Credential:
     clauses: tuple | None  # tuple[Clause] or None when Conditions is absent/empty
     signature: tuple | None = None  # (sig-algorithm, base64)
     source_text: str | None = field(default=None, compare=False)
+    # Characters of source_text that are exactly the canonical bytes, or
+    # None to render them. Set only by a parse of canonical text and by
+    # sign_credential; not an init field, so `replace` never copies it.
+    _canonical_len: int | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def authorizer_key(self) -> PublicKeyId:
@@ -272,9 +277,14 @@ def _tokenize(body: str, base_pos: int = 0) -> list[_Token]:
             continue
         text = m.group(kind)
         pos = base_pos + m.start()
-        if kind == "STRING":
+        # Names and literals recur across credentials (attribute names,
+        # app_domain, currency, keys); interned, every parse shares one copy.
+        if kind == "NAME":
+            text = sys.intern(text)
+        elif kind == "STRING":
             if "\\" in text:
                 text = _ESCAPE_RE.sub(r"\1", text)
+            text = sys.intern(text)
         elif kind == "OP":
             text = _OP_TEXT[text]
         elif kind == "BAD":
@@ -585,12 +595,12 @@ def _parse_credential(text: str) -> Credential:
             raise CredentialSyntaxError(
                 "signature must be <algorithm>:<base64>", stok.pos
             )
-        signature = (alg, material)
+        signature = (sys.intern(alg), material)  # the material is unique
 
     if authorizer == POLICY and signature is not None:
         raise CredentialSyntaxError("POLICY credentials carry no signature", 0)
 
-    return Credential(
+    cred = Credential(
         version=version,
         local_constants=constants,
         authorizer=authorizer,
@@ -599,6 +609,10 @@ def _parse_credential(text: str) -> Credential:
         signature=signature,
         source_text=text,
     )
+    canonical = _canonical_text(cred)
+    if text == _render(canonical, signature):
+        object.__setattr__(cred, "_canonical_len", len(canonical))
+    return cred
 
 
 def parse_credential_blocks(text: str) -> list[Credential]:
@@ -676,7 +690,17 @@ def canonical_bytes(cred: Credential) -> bytes:
     Field order is fixed (version, constants sorted by name, authorizer,
     licensees, conditions); tokens are single-space separated and each
     field line is newline-terminated. This is what signatures cover.
+    A credential whose source text is its canonical rendering (every
+    credential the package signs, and any text parsed in that form)
+    slices the bytes from the text instead of rendering them again.
     """
+    n = cred._canonical_len
+    if n is not None:
+        return cred.source_text[:n].encode("utf-8")
+    return _canonical_text(cred).encode("utf-8")
+
+
+def _canonical_text(cred: Credential) -> str:
     consts = " ".join(
         f"{name} = {_quote(value)}" for name, value in sorted(cred.local_constants)
     )
@@ -688,20 +712,19 @@ def canonical_bytes(cred: Credential) -> bytes:
         "Licensees:" + (f" {_render_principal(cred.licensees)}" if cred.licensees is not Anyone else ""),
         "Conditions:" + (f" {_render_clauses(cred.clauses)}" if cred.clauses else ""),
     ]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def render_credential(cred: Credential) -> str:
     """Canonical text form; re-parsing it reproduces the same canonical bytes."""
-    return _render(canonical_bytes(cred), cred.signature)
+    return _render(canonical_bytes(cred).decode("utf-8"), cred.signature)
 
 
-def _render(message: bytes, signature: tuple | None) -> str:
-    text = message.decode("utf-8")
-    if signature is not None:
-        alg, material = signature
-        text += f"Signature: {_quote(f'{alg}:{material}')}\n"
-    return text
+def _render(canonical: str, signature: tuple | None) -> str:
+    if signature is None:
+        return canonical
+    alg, material = signature
+    return canonical + f"Signature: {_quote(f'{alg}:{material}')}\n"
 
 
 def credential_id(cred: Credential) -> str:
@@ -723,14 +746,18 @@ def sign_credential(cred: Credential, pair: KeyPair) -> Credential:
     message = canonical_bytes(cred)
     sig = pair.sign(message)
     signature = (ED25519.sig_algorithm, base64.b64encode(sig).decode("ascii"))
-    return replace(cred, signature=signature, source_text=_render(message, signature))
+    canonical = message.decode("utf-8")
+    signed = replace(cred, signature=signature, source_text=_render(canonical, signature))
+    object.__setattr__(signed, "_canonical_len", len(canonical))
+    return signed
 
 
 # Successful verifications, keyed by _memo_key. A credential is immutable
 # and verification is a pure function of the key, the signature and the
 # canonical bytes, so a remembered success decides nothing differently.
-# Failures are not kept. A hit moves its entry to the end, so the least
-# recently used entry goes first once the bound is hit.
+# Failures are not kept. The oldest entry goes first once the bound is
+# hit; a hit does not move it, which measured fewer verifications in
+# total than moving it (see "Signature memo" in docs/formats.md).
 _MEMO_SIZE = 4096
 _verified: dict[bytes, None] = {}
 _verified_lock = threading.Lock()
@@ -761,10 +788,8 @@ def verify_signature(cred: Credential) -> bool:
         return False
     message = canonical_bytes(cred)
     key = _memo_key(cred, message)
-    with _verified_lock:
-        if key in _verified:
-            _verified[key] = _verified.pop(key)
-            return True
+    if key in _verified:
+        return True
     if not _signature_valid(cred, message):
         return False
     with _verified_lock:
@@ -932,16 +957,22 @@ def check_compliance(
         principals |= _principal_leaves(cred.licensees)
 
     authorized = {p: p in req for p in principals}
+    # Conditions read only the action, so a credential leaves the loop
+    # once they are evaluated, after its licensees (dict lookups) are
+    # satisfied: true, it authorizes its authorizer; false, it never will.
+    waiting = pool
     for _ in range(len(principals)):
         changed = False
-        for cred in pool:
+        still: list[Credential] = []
+        for cred in waiting:
             if authorized.get(cred.authorizer, False):
                 continue
-            if not eval_conditions(cred.clauses, action):
-                continue
-            if _licensees_satisfied(cred.licensees, authorized):
+            if not _licensees_satisfied(cred.licensees, authorized):
+                still.append(cred)
+            elif eval_conditions(cred.clauses, action):
                 authorized[cred.authorizer] = True
                 changed = True
+        waiting = still
         if not changed:
             break
     return authorized.get(POLICY, False)

@@ -143,12 +143,9 @@ def _header_fields(line: bytes) -> list[str]:
     return parts
 
 
-def decode(data: bytes) -> tuple[Envelope, bytes]:
-    """Decode one envelope; returns it and any trailing bytes."""
-    head_end = data.find(b"\n")
-    if head_end < 0:
-        raise ProtocolError("missing envelope header line")
-    _magic, msg_type, sender, seq_text = _header_fields(data[:head_end])
+def _checked_header(parts: list[str]) -> tuple[str, str, int]:
+    """Message type, sender and sequence number of a header's fields."""
+    _magic, msg_type, sender, seq_text = parts
     if not _TYPE_RE.match(msg_type):
         raise ProtocolError(f"bad message type {msg_type!r}")
     if not _SENDER_RE.fullmatch(sender):
@@ -157,6 +154,15 @@ def decode(data: bytes) -> tuple[Envelope, bytes]:
         seq = int(seq_text)
     except ValueError:
         raise ProtocolError(f"bad sequence number {seq_text!r}") from None
+    return msg_type, sender, seq
+
+
+def decode(data: bytes) -> tuple[Envelope, bytes]:
+    """Decode one envelope; returns it and any trailing bytes."""
+    head_end = data.find(b"\n")
+    if head_end < 0:
+        raise ProtocolError("missing envelope header line")
+    msg_type, sender, seq = _checked_header(_header_fields(data[:head_end]))
     len_end = data.find(b"\n", head_end + 1)
     if len_end < 0:
         raise ProtocolError("missing payload length line")
@@ -184,13 +190,14 @@ def read_envelope(stream) -> Envelope | None:
     """Read one envelope from a binary file-like stream; None on EOF.
 
     Only the framing is read here: a line that is not shaped like a
-    header is refused at once, and otherwise the whole frame is read and
-    handed to `decode`, so a frame that `decode` refuses is consumed and
-    the stream stays at the next frame."""
+    header is refused at once, and otherwise the whole frame is read
+    before its header and payload are checked by the rules and messages
+    of `decode`, so a frame that `decode` refuses is consumed and the
+    stream stays at the next frame."""
     head = _read_header_line(stream)
     if not head:
         return None
-    _header_fields(head)
+    parts = _header_fields(head)
     length_line = _read_header_line(stream)
     if not length_line:
         raise ProtocolError("eof before payload length")
@@ -205,4 +212,7 @@ def read_envelope(stream) -> Envelope | None:
     payload = stream.read(length)
     if len(payload) != length:
         raise ProtocolError("eof inside payload")
-    return decode(head + length_line + payload)[0]
+    msg_type, sender, seq = _checked_header(parts)
+    if not length_line.endswith(b"\n"):  # an empty payload at end of stream
+        raise ProtocolError("missing payload length line")
+    return Envelope(msg_type, sender, seq, *decode_payload(payload))

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandx.credentials import (
     ActionAttributeSet,
@@ -350,22 +352,22 @@ def test_memo_stays_bounded_and_exact_under_threads(monkeypatch):
     assert len(credentials._verified) <= 8
 
 
-def test_a_hit_keeps_a_remembered_signature_past_older_unhit_ones(monkeypatch):
+def test_the_oldest_remembered_signature_goes_first_even_after_a_hit(monkeypatch):
     from bandx import credentials
 
     monkeypatch.setattr(credentials, "_verified", {})
     monkeypatch.setattr(credentials, "_MEMO_SIZE", 2)
-    pair = generate_keypair("memo:lru")
+    pair = generate_keypair("memo:fifo")
     a, b, c = (
         sign_credential(build_credential(pair.public_id, "", f'n == "{i}";'), pair)
         for i in range(3)
     )
     calls = counting_scheme_verify(monkeypatch)
-    for cred in (a, b, a, c):  # the hit on `a` leaves `b` the least recently used
+    for cred in (a, b, a, c):  # the hit on `a` does not save it from eviction
         assert verify_signature(cred) is True
     assert len(calls) == 3
-    assert verify_signature(a) is True and len(calls) == 3
-    assert verify_signature(b) is True and len(calls) == 4
+    assert verify_signature(b) is True and len(calls) == 3
+    assert verify_signature(a) is True and len(calls) == 4
     # The fresh path neither reads nor fills the memo.
     held = dict(credentials._verified)
     assert verify_signature_fresh(a) is True and len(calls) == 5
@@ -629,6 +631,63 @@ def test_compliance_matches_least_fixpoint_oracle():
         pool, requesters = _random_delegation_pool(rng)
         got = check_compliance([pool[0]], pool[1:], requesters, action)
         assert got == _oracle(pool, requesters, action)
+
+
+def _conditions_first_fixpoint(pool, requesters, action):
+    """The compliance loop that tests conditions before licensees on
+    every pass, kept as the reference (signatures are not checked)."""
+    from bandx.credentials import _licensees_satisfied, _principal_leaves
+
+    principals = {POLICY} | set(requesters)
+    for cred in pool:
+        principals.add(cred.authorizer)
+        principals |= _principal_leaves(cred.licensees)
+    authorized = {p: p in requesters for p in principals}
+    for _ in range(len(principals)):
+        changed = False
+        for cred in pool:
+            if authorized.get(cred.authorizer, False):
+                continue
+            if not eval_conditions(cred.clauses, action):
+                continue
+            if _licensees_satisfied(cred.licensees, authorized):
+                authorized[cred.authorizer] = True
+                changed = True
+        if not changed:
+            break
+    return authorized.get(POLICY, False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["yes", "no", None]))
+def test_compliance_matches_the_conditions_first_loop(seed, go):
+    pool, requesters = _random_delegation_pool(random.Random(seed))
+    action = ActionAttributeSet({"app_domain": "d", **({} if go is None else {"go": go})})
+    got = check_compliance([pool[0]], pool[1:], requesters, action)
+    assert got == _conditions_first_fixpoint(pool, requesters, action)
+
+
+def test_compliance_evaluates_conditions_at_most_once_per_credential(monkeypatch, chain):
+    from bandx import credentials
+
+    evaluated: list = []
+    original = credentials.eval_conditions
+
+    def counted(clauses, action):
+        evaluated.append(clauses)
+        return original(clauses, action)
+
+    monkeypatch.setattr(credentials, "eval_conditions", counted)
+    assert check_compliance([chain.policy], [chain.cwc, chain.offer, chain.check],
+                            [chain.alice.public_id], chain.action) is True
+    assert len(evaluated) <= 4
+    rng = random.Random(1913)
+    action = ActionAttributeSet.of(app_domain="d", go="yes")
+    for _ in range(40):
+        pool, requesters = _random_delegation_pool(rng)
+        evaluated.clear()
+        check_compliance([pool[0]], pool[1:], requesters, action)
+        assert len(evaluated) <= len(pool)
 
 
 def test_adding_a_credential_never_revokes(chain):

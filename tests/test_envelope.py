@@ -104,6 +104,32 @@ def test_stream_reader_matches_decode():
     assert read_envelope(stream) == env
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"NOPE A s 1\n0\n",
+        b"BANDX1 A s\n0\n",
+        b"BANDX1 A  1\n0\n",
+        b"BANDX1 A s\tt 1\n0\n",
+        b"BANDX1 A s x\n0\n",
+        b"BANDX1 a s 1\n0\n",
+        b"BANDX1 A s 1\nnope\n",
+        b"BANDX1 A s 1\n9\nkey<<5\nab\n",
+        b"BANDX1 A s 1\n3\nk=v",
+        b"BANDX1 A s 1\n0",  # no newline after the length: the stream ended
+        b"BANDX1 a s 1\n0",
+    ],
+)
+def test_stream_reader_refuses_a_whole_frame_with_the_message_decode_gives(data):
+    import io
+
+    with pytest.raises(ProtocolError) as by_decode:
+        decode(data)
+    with pytest.raises(ProtocolError) as by_reader:
+        read_envelope(io.BytesIO(data))
+    assert str(by_reader.value) == str(by_decode.value)
+
+
 @pytest.mark.parametrize("length", [-1, -(2 ** 40), MAX_PAYLOAD + 1])
 def test_stream_reader_refuses_lengths_out_of_range(length):
     import io
