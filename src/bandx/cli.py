@@ -20,6 +20,7 @@ from typing import Iterator
 
 from .credentials import CredentialSyntaxError, parse_credential_blocks
 from .envelope import ProtocolError
+from .fabric import TopologyError
 from .keys import export_private, generate_keypair, import_private
 from .money import instant_from_text, parse_amount, text_of_instant
 from .offers import make_offer_credential, open_offer
@@ -338,7 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionFailed as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return EXIT_ASSERT
-    except (ScenarioParseError, ProtocolError, CredentialSyntaxError, ConfigError) as exc:
+    except (ScenarioParseError, ProtocolError, CredentialSyntaxError, ConfigError,
+            TopologyError, ValueError) as exc:
+        # ValueError and TopologyError are also what `invalid` and `topology` replies raise.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     except Exception as exc:

@@ -159,21 +159,21 @@ def build_merchant_policy(
     merchant_key: PublicKeyId | str,
     trusted_guarantors: list[PublicKeyId | str],
 ) -> Credential:
-    """Local policy: any trusted guarantor jointly with the merchant key."""
+    """Local policy: any trusted guarantor jointly with the merchant key.
+    Sales and keepalives both meet it."""
     if not trusted_guarantors:
         raise ValueError("policy requires at least one trusted guarantor key")
     return _policy(tuple(str(g) for g in trusted_guarantors), str(merchant_key))
 
 
 @functools.lru_cache(maxsize=256)
-def _policy(guarantors: tuple, merchant: str | None) -> Credential:
-    """POLICY licensing any of `guarantors`, jointly with `merchant` when
-    given. Built once per arguments, structurally: the AST that parsing
+def _policy(guarantors: tuple, merchant: str) -> Credential:
+    """POLICY licensing any of `guarantors` jointly with `merchant`.
+    Built once per arguments, structurally: the AST that parsing
     `("G1" || "G2") && "M"` and `app_domain == "BAND-X" -> "true";` gives."""
     leaves = tuple(KeyLeaf(read_key_id(g)[1]) for g in guarantors)
-    licensees = leaves[0] if len(leaves) == 1 else POr(leaves)
-    if merchant is not None:
-        licensees = PAnd((licensees, KeyLeaf(read_key_id(merchant)[1])))
+    either = leaves[0] if len(leaves) == 1 else POr(leaves)
+    licensees = PAnd((either, KeyLeaf(read_key_id(merchant)[1])))
     return Credential(2, (), POLICY, licensees, (Clause(pin("app_domain", APP_DOMAIN), "true"),))
 
 
@@ -235,28 +235,6 @@ def verify_payment(
     )
 
 
-def verify_keepalive_payment(
-    guarantor_policy: Credential,
-    guarantor: Credential,
-    check: Credential,
-    merchant_key: PublicKeyId | str,
-    action: ActionAttributeSet,
-    *,
-    fresh: bool = False,
-) -> bool:
-    """Keepalive gate: no offer participates, so the redeeming merchant
-    is the requester and the policy licenses the guarantor alone."""
-    return check_compliance(
-        [guarantor_policy], [guarantor, check], {str(merchant_key)}, action, fresh=fresh
-    )
-
-
-def build_keepalive_policy(trusted_guarantors: list[PublicKeyId | str]) -> Credential:
-    if not trusted_guarantors:
-        raise ValueError("policy requires at least one trusted guarantor key")
-    return _policy(tuple(str(g) for g in trusted_guarantors), None)
-
-
 def payment_verdict(
     offer: Offer | None,
     check: MicrocheckView,
@@ -272,11 +250,13 @@ def payment_verdict(
     table in docs/formats.md: payee, guarantor trust, action amount,
     offer signature, un-bundling, pro-rated floor, compliance.
 
-    `offer` is None for a keepalive, which skips the offer steps and is
-    checked against the keepalive policy. The offer's signature is
-    verified on its own only when the un-bundling or floor step refuses;
-    otherwise the compliance check verifies it, with the same outcome
-    and one verification. `fresh` verifies every signature anew instead
+    `offer` is None for a keepalive, which skips the offer steps and
+    meets the same merchant POLICY with the merchant as the requester;
+    no offer authorizes the merchant, so the guarantor credential and
+    the check alone decide it. The offer's signature is verified on its
+    own only when the un-bundling or floor step refuses; otherwise the
+    compliance check verifies it, with the same outcome and one
+    verification. `fresh` verifies every signature anew instead
     of trusting remembered successes.
     """
     if check.merchant_key != merchant_key:
@@ -286,10 +266,10 @@ def payment_verdict(
     if action.get("amount") != check.amount.as_decimal_str():
         return REASON_MALFORMED
     try:
+        policy = build_merchant_policy(merchant_key, trusted_guarantors)
         if offer is None:
-            ok = verify_keepalive_payment(
-                build_keepalive_policy(trusted_guarantors),
-                guarantor, check.credential, merchant_key, action, fresh=fresh,
+            ok = check_compliance(
+                [policy], [guarantor, check.credential], {merchant_key}, action, fresh=fresh
             )
         else:
             fault = _sale_fault(offer, check, action)
@@ -297,8 +277,7 @@ def payment_verdict(
                 verify = verify_signature_fresh if fresh else verify_signature
                 return fault if verify(offer.credential) else REASON_BAD_SIGNATURE
             ok = verify_payment(
-                build_merchant_policy(merchant_key, trusted_guarantors),
-                guarantor, offer.credential, check.credential, action, fresh=fresh,
+                policy, guarantor, offer.credential, check.credential, action, fresh=fresh
             )
     except (UnverifiedCredential, UnsupportedAlgorithm):
         return REASON_BAD_SIGNATURE

@@ -17,38 +17,17 @@ from dataclasses import dataclass, field
 
 from .credentials import BadSignature, Credential, parse_credential, verify_signature
 from .envelope import Envelope, ProtocolError
-from .fabric import (
-    CapacityExhausted,
-    ExpiredChallenge,
-    OutsideInterval,
-    PaymentRefused,
-    ReplayedChallenge,
-    UnbundlingProhibited,
-    UnknownReservation,
-    open_reservation_credential,
-    sign_reservation_request,
-)
+from .fabric import open_reservation_credential, sign_reservation_request
 from .keys import KeyPair
-from .market import Expired, NoPath
+from .market import NoPath
 from .money import Money, date_of_instant
-from .offers import MalformedOffer, Offer, open_offer
-from .payments import StaleNonce, Wallet
-from .services import Transport
+from .offers import Offer, open_offer
+from .payments import Wallet
+from .services import ERROR_CODES, Transport
 
-_ERRORS_BY_CODE = {
-    "no-path": NoPath,
-    "payment-refused": PaymentRefused,
-    "capacity-exhausted": CapacityExhausted,
-    "unbundling-prohibited": UnbundlingProhibited,
-    "expired-challenge": ExpiredChallenge,
-    "replayed-challenge": ReplayedChallenge,
-    "unknown-reservation": UnknownReservation,
-    "outside-interval": OutsideInterval,
-    "bad-signature": BadSignature,
-    "stale-nonce": StaleNonce,
-    "malformed-offer": MalformedOffer,
-    "expired": Expired,
-}
+# The first class ERROR_CODES names for each code, so that `error_code`
+# reads a raised reply back as the code the role sent.
+_ERRORS_BY_CODE = {code: cls for cls, code in reversed(ERROR_CODES.items())}
 
 
 def raise_for_error(reply: Envelope) -> Envelope:

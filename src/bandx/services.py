@@ -445,11 +445,7 @@ def build_role(role: str, config: dict) -> ServiceCore:
             return GuarantorService(import_private(config["secret"]), clock_start)
         if role == "csc":
             return CscService(
-                SettlementCenter(
-                    config["trusted_guarantors"],
-                    commission_basis_points=int(config.get("commission_bp", 100)),
-                    journal_path=config.get("journal"),
-                ),
+                SettlementCenter(config["trusted_guarantors"], journal_path=config.get("journal")),
                 clock_start,
             )
         if role == "isp":

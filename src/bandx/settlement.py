@@ -12,7 +12,7 @@ disputed transaction possible from the stored bytes alone.
 
 Whether a record pays is `payments.payment_verdict`, the decision the
 network element ran before delivering, run again on the stored action;
-this module adds only the double-deposit guard and the daily payer cap.
+this module adds only the double-deposit guard and the commission.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from .payments import (  # the verdict's reasons are this module's rejection rea
 )
 
 REASON_DOUBLE_DEPOSIT = "double-deposit"
-REASON_AGGREGATE_CAP = "aggregate-cap"
 
 SETTLEMENT_ACCOUNT = "csc"  # the ledger account that collects commission
+COMMISSION_BP = 100  # commission in basis points of each accepted amount
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,8 @@ class TransactionRecord:
     received_at: str  # YYYYMMDD
 
     def record_id(self) -> str:
-        return hashlib.sha256(_record_blocks(self)).hexdigest()
+        parts = [*_record_parts(self), self.merchant_key.encode(), self.received_at.encode()]
+        return hashlib.sha256(b"\x00".join(parts)).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -82,40 +83,31 @@ class JournalEntry:
     commission_cents: int
 
 
-def _action_bytes(action: ActionAttributeSet) -> bytes:
-    lines = [f"{k}={v}" for k, v in sorted(action.items())]
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-
-
-def _record_blocks(record: TransactionRecord) -> bytes:
-    parts = [
+def _record_parts(record: TransactionRecord) -> list[bytes]:
+    """The offer, check and guarantor texts and the action map
+    (`key=value` lines sorted by key): the four blocks of a record's
+    wire and journal forms, and the start of what its id hashes."""
+    action = "".join(f"{k}={v}\n" for k, v in sorted(record.action.items()))
+    return [
         record.offer.text().encode("utf-8"),
         record.microcheck.text().encode("utf-8"),
         record.guarantor.text().encode("utf-8"),
-        _action_bytes(record.action),
-        record.merchant_key.encode("utf-8"),
-        record.received_at.encode("utf-8"),
+        action.encode("utf-8"),
     ]
-    return b"\x00".join(parts)
 
 
 class SettlementCenter:
     def __init__(
         self,
         trusted_guarantors: Iterable[PublicKeyId | str],
-        commission_basis_points: int = 100,
         journal_path: str | Path | None = None,
-        daily_payer_cap: Money | None = None,
     ) -> None:
         self._guarantors = [str(g) for g in trusted_guarantors]
         if not self._guarantors:
             raise ValueError("settlement requires at least one trusted guarantor")
-        self._bp = commission_basis_points
-        self._daily_cap = daily_payer_cap
         self._lock = threading.Lock()
         self._balances: dict[tuple[str, str], int] = {}
         self._settled: set[tuple[str, str]] = set()
-        self._daily_totals: dict[tuple[str, str, str], int] = {}
         self._entries: list[JournalEntry] = []
         self._by_id: dict[str, JournalEntry] = {}
         self._journal_path = Path(journal_path) if journal_path is not None else None
@@ -128,9 +120,9 @@ class SettlementCenter:
         """Process records in order; failures are per-record rejections.
 
         An accepted record debits the payer and credits the merchant minus
-        commission (basis points, rounded up to a minor unit) which goes
-        to the settlement account. A (payer, nonce) pair settles at most
-        once, ever.
+        commission (COMMISSION_BP basis points, rounded up to a minor
+        unit) which goes to the settlement account. A (payer, nonce) pair
+        settles at most once, ever.
         """
         accepted: list[tuple[str, Money]] = []
         rejected: list[tuple[str, str]] = []
@@ -190,9 +182,6 @@ class SettlementCenter:
 
     # -- processing ---------------------------------------------------------
 
-    def _commission(self, amount_cents: int) -> int:
-        return -(-(amount_cents * self._bp) // 10_000)  # ceil
-
     def _process(self, record: TransactionRecord, journal: BinaryIO | None) -> JournalEntry:
         record_id = record.record_id()
         check = _open_check(record)
@@ -206,12 +195,8 @@ class SettlementCenter:
         verdict = accepted = reason is None
         if accepted and (payer, nonce) in self._settled:
             accepted, reason = False, REASON_DOUBLE_DEPOSIT
-        if accepted and self._daily_cap is not None and currency == self._daily_cap.currency:
-            day_key = (payer, check.date, currency)
-            if self._daily_totals.get(day_key, 0) + amount_cents > self._daily_cap.cents:
-                accepted, reason = False, REASON_AGGREGATE_CAP
 
-        commission = self._commission(amount_cents) if accepted else 0
+        commission = -(-(amount_cents * COMMISSION_BP) // 10_000) if accepted else 0  # ceil
         entry = JournalEntry(
             record_id=record_id,
             record=record,
@@ -227,11 +212,10 @@ class SettlementCenter:
         if journal is not None:
             journal.write(encode_journal_entry(entry))
             journal.flush()
-        self._apply(entry, check.date if check is not None else record.received_at)
+        self._apply(entry)
         return entry
 
-    def _apply(self, entry: JournalEntry, date: str) -> None:
-        """`date` is the check's date, which the daily payer cap counts by."""
+    def _apply(self, entry: JournalEntry) -> None:
         self._entries.append(entry)
         self._by_id[entry.record_id] = entry
         if not entry.accepted:
@@ -248,8 +232,6 @@ class SettlementCenter:
         self._balances[(SETTLEMENT_ACCOUNT, cur)] = (
             self._balances.get((SETTLEMENT_ACCOUNT, cur), 0) + entry.commission_cents
         )
-        key = (entry.payer, date, cur)
-        self._daily_totals[key] = self._daily_totals.get(key, 0) + entry.amount_cents
 
     # -- journal ------------------------------------------------------------
 
@@ -261,11 +243,8 @@ class SettlementCenter:
         return self._journal_path.open("ab")
 
     def _replay_journal(self) -> None:
-        data = self._journal_path.read_bytes()
-        for entry in decode_journal(data):
-            # Only an accepted entry counts toward a daily total.
-            check = _open_check(entry.record) if entry.accepted else None
-            self._apply(entry, check.date if check is not None else entry.record.received_at)
+        for entry in decode_journal(self._journal_path.read_bytes()):
+            self._apply(entry)
 
 
 def _open_check(record: TransactionRecord) -> MicrocheckView | None:
@@ -281,23 +260,16 @@ def _open_check(record: TransactionRecord) -> MicrocheckView | None:
 # ---------------------------------------------------------------------------
 
 def encode_record(record: TransactionRecord) -> bytes:
-    header = f"record merchant={record.merchant_key} received={record.received_at}\n"
-    return header.encode("utf-8") + _record_body(record)
+    return _framed(f"record merchant={record.merchant_key} received={record.received_at}\n",
+                   record)
 
 
-def _record_body(record: TransactionRecord) -> bytes:
-    """The four length-prefixed blocks that follow a record or deposit
-    header line; `_read_record_body` reads them back."""
-    out = []
-    for block in (
-        record.offer.text().encode("utf-8"),
-        record.microcheck.text().encode("utf-8"),
-        record.guarantor.text().encode("utf-8"),
-        _action_bytes(record.action),
-    ):
-        out.append(f"{len(block)}\n".encode("ascii"))
-        out.append(block)
-        out.append(b"\n")
+def _framed(header: str, record: TransactionRecord) -> bytes:
+    """A record or deposit header line, then the record's four parts,
+    each length-prefixed; `_read_record_body` reads the parts back."""
+    out = [header.encode("utf-8")]
+    for block in _record_parts(record):
+        out += (b"%d\n" % len(block), block, b"\n")
     return b"".join(out)
 
 
@@ -328,7 +300,7 @@ def encode_journal_entry(entry: JournalEntry) -> bytes:
         f"currency={entry.currency} commission={entry.commission_cents} "
         f"merchant={r.merchant_key} received={r.received_at}\n"
     )
-    return header.encode("utf-8") + _record_body(r)
+    return _framed(header, r)
 
 
 def decode_journal(data: bytes) -> list[JournalEntry]:

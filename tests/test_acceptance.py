@@ -18,6 +18,7 @@ with its runtime. Run with `pytest tests/test_acceptance.py -v -s`.
 
 from __future__ import annotations
 
+import os
 import random
 import socket
 import subprocess
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+import bandx
 from bandx.credentials import (
     UnverifiedCredential,
     check_compliance,
@@ -331,6 +333,10 @@ def test_criterion_8_transport_equivalence_four_processes(tmp_path):
     from bandx.scenario import materialize_configs, parse_scenario, run_parsed
     from bandx.services import SocketTransport
 
+    # The services import the bandx this test imported, installed or not.
+    package_root = str(Path(bandx.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
     started = time.monotonic()
     for scenario_path in BUNDLED:
         scn = parse_scenario(scenario_path.read_text(), SCENARIOS)
@@ -346,6 +352,7 @@ def test_criterion_8_transport_equivalence_four_processes(tmp_path):
                  "--config", str(cfg)],
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
+                env=env,
             )
             for role, cfg in configs.items()
         ]

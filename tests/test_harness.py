@@ -3,6 +3,7 @@ settlement journal under restart."""
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from bandx.envelope import Envelope, decode
 from bandx.market import NoPath
 from bandx.offers import derive_offer_fields
 from bandx.payments import open_microcheck
-from bandx.qna import PartialEstablishment
+from bandx.qna import PartialEstablishment, raise_for_error
 from bandx.scenario import (
     AssertionFailed,
     ScenarioParseError,
@@ -21,7 +22,7 @@ from bandx.scenario import (
     run_parsed,
     run_scenario,
 )
-from bandx.services import Bus
+from bandx.services import ERROR_CODES, Bus, error_code
 
 from helpers import held_growth
 
@@ -72,6 +73,41 @@ def test_rome_dublin_matches_golden_transcript():
     golden = (SCENARIOS / "rome-dublin.golden.transcript").read_bytes()
     assert result.transcript == golden
     assert result.report == (SCENARIOS / "rome-dublin.golden.report").read_text()
+
+
+# SHA-256 of each bundled scenario's transcript and report. The two
+# transports are compared with each other elsewhere; these catch a change
+# that moves the bytes of both alike.
+_SCENARIO_DIGESTS = {
+    "keepalive": (
+        "4d6f478d58e9fc3428225d720005e0d4a098397f0c1c9d57e09f4345ad204669",
+        "b72d5e02302a5c9a71006c893d62b35cc97b1d7005ccdd48d56689981f9132c5",
+    ),
+    "premium": (
+        "1b60550cf77df2ced7825a29444dcb3931ccdc6d445fdfa364d0c1fc2da0c807",
+        "1dcb9f2217f7107bb003c8eaf8c1c2c6f48ec75b835ab12eb8f5fe735493f535",
+    ),
+    "presentation-futures": (
+        "9f4784c6fcc14cf6dda470790b3cc991401875875b8761a47a76dbcfde56a8d2",
+        "3ee24e395c87b4b5a210cd14368cf8554084d00907fdcee98aeeed568e1cd8bb",
+    ),
+    "rome-dublin": (
+        "c16fe4fa75146224b67ae583e36f48445706af33fcabea2e1c921c9c1bd81e89",
+        "43eaee5e16eed0b14bf1dd5d60413ff4a788e0f25f86bec6304a35476e20b4ef",
+    ),
+    "unbundle": (
+        "0777e7522a739dc1cd67cddb237d4135a3ccac16e6f9ee9b8798576ae2e9b801",
+        "10e3ab8cdb2130a97fcff7ef3bd19136b15a631b234155ffe28c4f4ef5287e8d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.scn")))
+def test_bundled_scenario_bytes_are_pinned(name):
+    result = run_scenario(SCENARIOS / f"{name}.scn")
+    transcript, report = _SCENARIO_DIGESTS[name]
+    assert hashlib.sha256(result.transcript).hexdigest() == transcript
+    assert hashlib.sha256(result.report.encode("utf-8")).hexdigest() == report
 
 
 def test_a_bus_asked_to_record_holds_the_golden_bytes():
@@ -148,6 +184,26 @@ def test_expected_error_option(tmp_path):
         "isp ispB\n", "isp ispB\ncustomer alice bank 10.00 USD 20041231\n"
     ))
     run_scenario(path)  # the expected no-path makes the event pass
+
+
+def test_expect_can_name_a_code_without_a_customer_side_class(tmp_path):
+    path = _scn(
+        tmp_path,
+        "customer alice bank 10.00 USD 20041231\n"
+        "buy-spot alice Rome Dublin 0 expect=invalid\n",
+    )
+    run_scenario(path)  # the clearing house answers invalid to 0 Mbps
+
+
+def test_every_error_code_reads_back_from_its_reply():
+    def read_back(code: str) -> str:
+        reply = Envelope("ERROR", "isp", 1, {"code": code, "detail": "why"}, {})
+        with pytest.raises(Exception) as raised:
+            raise_for_error(reply)
+        return error_code(raised.value)
+
+    codes = set(ERROR_CODES.values())
+    assert {code: read_back(code) for code in codes} == {code: code for code in codes}
 
 
 def test_ended_booking_reads_expired_and_cannot_be_activated(tmp_path):

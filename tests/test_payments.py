@@ -224,31 +224,6 @@ def test_account_balance_unknown_key_is_zero(chain):
     assert csc.account_balance("ed25519-base64:nobody").cents == 0
 
 
-def test_daily_aggregate_cap_rejects_excess(chain):
-    # Per-check limit still honored, but the configured daily aggregate
-    # cap bounds the payer's total across checks of one day.
-    csc = SettlementCenter([chain.guarantor.public_id],
-                           daily_payer_cap=Money(600))
-    wallet = Wallet(chain.alice, chain.cwc)
-    offer = open_offer(chain.offer)
-
-    def record(nonce: str) -> TransactionRecord:
-        from bandx.payments import build_purchase_action
-
-        check = wallet.write_check(chain.merchant.public_id, Money(425), nonce,
-                                   "20031119")
-        action = build_purchase_action(offer, 50, Money(425), nonce, "20031119")
-        return TransactionRecord(chain.offer, check, chain.cwc, action,
-                                 chain.merchant.public_id.canonical(), TODAY)
-
-    first = csc.deposit_batch([record("aaaaaaaaaaa1")])
-    assert len(first.accepted) == 1
-    second = csc.deposit_batch([record("aaaaaaaaaaa2")])  # 850 > 600 cap
-    assert second.rejected[0][1] == "aggregate-cap"
-    payer = chain.alice.public_id.canonical()
-    assert csc.account_balance(payer).cents == -425
-
-
 def test_conservation_across_random_batches():
     rng = random.Random(31)
     world = settlement_world(rng)
@@ -546,9 +521,9 @@ def test_each_record_is_journaled_before_its_effects_count(tmp_path, monkeypatch
     apply = SettlementCenter._apply
     on_disk = []
 
-    def checked_apply(self, entry, date):
+    def checked_apply(self, entry):
         on_disk.append([e.record_id for e in decode_journal(journal.read_bytes())])
-        apply(self, entry, date)
+        apply(self, entry)
 
     monkeypatch.setattr(SettlementCenter, "_apply", checked_apply)
     csc.deposit_batch(records)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandx.credentials import (
@@ -36,11 +36,13 @@ from bandx.credentials import (
     PAnd,
     POr,
     UnknownVersion,
+    UnverifiedCredential,
     _parse_credential,
     _strip_comment,
     _tokenize,
     build_credential,
     canonical_bytes,
+    check_compliance,
     conjuncts,
     parse_credential,
     pins,
@@ -54,9 +56,11 @@ from bandx.money import Money, prorated_cents, text_of_instant
 from bandx.offers import APP_DOMAIN, QOS_PREMIUM, QOS_RESERVED, make_offer_credential
 from bandx.payments import (
     Wallet,
-    build_keepalive_policy,
+    build_keepalive_action,
     build_merchant_policy,
     issue_guarantor_credential,
+    open_microcheck,
+    payment_verdict,
 )
 
 from conftest import make_chain
@@ -271,17 +275,58 @@ def test_structural_policies_equal_text_built_ones():
         parsed = _text_merchant_policy(merchant, guarantors)
         assert canonical_bytes(built) == canonical_bytes(parsed)
         assert built == parsed
-        built = build_keepalive_policy(guarantors)
-        parsed = _text_keepalive_policy(guarantors)
-        assert canonical_bytes(built) == canonical_bytes(parsed)
-        assert built == parsed
 
 
 def test_policy_is_built_once_per_arguments():
     assert build_merchant_policy(_KEYS[0], _KEYS[1:3]) is build_merchant_policy(
         _KEYS[0], list(_KEYS[1:3])
     )
-    assert build_keepalive_policy(_KEYS[1:3]) is build_keepalive_policy(list(_KEYS[1:3]))
+
+
+# A keepalive meets the merchant POLICY with the merchant as the requester.
+# Its verdict must equal a compliance check against the text-built POLICY
+# that licenses the guarantors alone: the merchant leaf, which the
+# requester satisfies, changes nothing.
+_KEEPALIVE_DATE = "20031119"
+
+
+@settings(max_examples=80, deadline=None)
+@example(guarantor=_PAIRS[1], trusted=_KEYS[1:2], payee=_KEYS[3], cents=500, action_cents=None,
+         expiry="20040324", tampered=False)
+@given(
+    guarantor=st.sampled_from(_PAIRS[1:3]),
+    trusted=st.sampled_from([_KEYS[1:2], _KEYS[1:3]]),
+    payee=st.sampled_from(_KEYS[2:4]),
+    cents=st.integers(min_value=1, max_value=600),
+    action_cents=st.one_of(st.none(), st.integers(min_value=1, max_value=600)),
+    expiry=st.sampled_from(["20031118", "20031119", "20031120", "20040324"]),
+    tampered=st.booleans(),
+)
+def test_keepalive_verdict_equals_the_guarantor_only_policy(
+    guarantor, trusted, payee, cents, action_cents, expiry, tampered
+):
+    # Payer _PAIRS[0], merchant _KEYS[3]. Drawn: an untrusted guarantor
+    # (_PAIRS[2] when only _KEYS[1] is trusted), a check payable to
+    # another key, an action amount other than the check's, a guarantor
+    # credential expired on the check date, and a check whose nonce was
+    # changed after signing.
+    payer, merchant = _PAIRS[0], _KEYS[3]
+    cwc = issue_guarantor_credential(guarantor, payer.public_id, Money(500), expiry)
+    check = Wallet(payer).write_check(payee, Money(cents), "0123456789ab", _KEEPALIVE_DATE)
+    if tampered:
+        check = parse_credential(check.text().replace('"0123456789ab"', '"0123456789ac"'))
+    view = open_microcheck(check)
+    action = build_keepalive_action(
+        Money(cents if action_cents is None else action_cents), view.nonce, _KEEPALIVE_DATE
+    )
+    verdict = payment_verdict(None, view, cwc, action, merchant, list(trusted), fresh=False)
+    try:
+        pays = check_compliance(
+            [_text_keepalive_policy(list(trusted))], [cwc, check], {merchant}, action, fresh=True
+        )
+    except UnverifiedCredential:
+        pays = False
+    assert (verdict is None) == pays
 
 
 # ---------------------------------------------------------------------------

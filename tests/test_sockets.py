@@ -176,6 +176,15 @@ def test_cli_verbs_close_their_sockets(live_world, capsys):
     assert "ch offers=0" in out and "accepted=0 rejected=0" in out
 
 
+def test_an_invalid_reply_exits_with_the_protocol_code(live_world, capsys):
+    _scn, _services, endpoints = live_world
+    host, port = endpoints["ch"]
+    argv = ["search", "--from=Rome", "--to=Dublin", "--mbps=0", f"--ch={host}:{port}",
+            "--now=20031119T080000"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: min_bandwidth_mbps must be positive\n"
+
+
 def _read_one(rfile) -> bytes:
     head = rfile.readline()
     length_line = rfile.readline()
