@@ -4,6 +4,8 @@ and the delegation-graph compliance check."""
 from __future__ import annotations
 
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,8 @@ from bandx.credentials import (
     UnknownVersion,
     UnresolvedConstant,
     UnverifiedCredential,
+    _Token,
+    _tokenize,
     build_credential,
     canonical_bytes,
     check_compliance,
@@ -125,6 +129,123 @@ def test_syntax_error_carries_position_and_expectation():
         assert exc.expected
     else:
         pytest.fail("expected CredentialSyntaxError")
+
+
+_POLICY_HEAD = "Keynote-Version: 2\nAuthorizer: POLICY\nLicensees:\n"
+
+# Malformed texts with the exact message, position and expectation each
+# raises. A token's position is the offset of its field's first line plus
+# its index in the field body (the text after the header's colon, with
+# continuation lines joined by one space).
+_SYNTAX_ERRORS = [
+    pytest.param(_POLICY_HEAD + 'Conditions: app_domain == "BAND-X\n',
+                 "unterminated string literal", 64, 'closing "', id="unterminated-string"),
+    pytest.param(_POLICY_HEAD + 'Conditions: a == "x\\"\n',
+                 "unterminated string literal", 55, 'closing "', id="escaped-quote-leaves-string-open"),
+    pytest.param(_POLICY_HEAD + 'Conditions: a == "x\\"y" b\n',
+                 "got 'b'", 62, "';' or end of conditions", id="escaped-quote-inside-string"),
+    pytest.param(_POLICY_HEAD + 'Conditions: a == "x\\\\" b\n',
+                 "got 'b'", 61, "';' or end of conditions", id="escaped-backslash-closes-string"),
+    pytest.param(_POLICY_HEAD + 'Conditions: a == "x" @\n',
+                 "unexpected character '@'", 59, "", id="stray-character"),
+    pytest.param(_POLICY_HEAD + 'Conditions: a == "x" \\ b\n',
+                 "unexpected character '\\\\'", 59, "", id="backslash-outside-string"),
+    pytest.param(_POLICY_HEAD + "Conditions: a ==   \t\n",
+                 "got ''", 58, "literal", id="trailing-whitespace"),
+    pytest.param("Keynote-Version: 2.5\nAuthorizer: POLICY\nLicensees:\n",
+                 "got '2.5'", 1, "integer version", id="fractional-version"),
+    pytest.param(_POLICY_HEAD + "Conditions: &a < 5.\n",
+                 "unexpected character '.'", 56, "", id="number-trailing-dot"),
+    pytest.param(_POLICY_HEAD + "Conditions: &a < 5.01.2\n",
+                 "unexpected character '.'", 59, "", id="number-two-dots"),
+    pytest.param(_POLICY_HEAD + 'Conditions: a == "x" ->\n',
+                 "got ''", 61, '"true" or "false"', id="arrow-without-result"),
+    pytest.param(_POLICY_HEAD + 'Conditions: a == "x" -> true\n',
+                 "got 'true'", 62, '"true" or "false"', id="arrow-bare-result"),
+    pytest.param("Keynote-Version: 2\nAuthorizer:\nLicensees:\n",
+                 "got ''", 19, "key or constant name", id="empty-authorizer"),
+    pytest.param("Keynote-Version:   \nAuthorizer: POLICY\nLicensees:\n",
+                 "got ''", 3, "integer version", id="empty-version"),
+    pytest.param("Keynote-Version: 2\nAuthorizer: POLICY\nLicensees: &&\n",
+                 "got '&&'", 39, "key or constant name", id="operator-licensee"),
+    pytest.param(_POLICY_HEAD + 'Conditions: a = "x"\n',
+                 "got '='", 52, "comparison operator", id="single-equals"),
+    pytest.param(_POLICY_HEAD + 'Conditions: (a == "x"\n',
+                 "got ''", 59, "')'", id="unclosed-parenthesis"),
+    pytest.param(_POLICY_HEAD + "Conditions: a == x\n",
+                 "got 'x'", 55, "literal", id="bare-literal"),
+    pytest.param("Keynote-Version: 2\nLocal-Constants: K = bare\nAuthorizer: POLICY\nLicensees:\n",
+                 "got 'bare'", 24, "quoted constant value", id="unquoted-constant"),
+    pytest.param(_POLICY_HEAD + 'Conditions: a == "x" &&\n\tb == "y" ^\n',
+                 "unexpected character '^'", 72, "", id="continuation-line"),
+]
+
+
+@pytest.mark.parametrize("text, message, position, expected", _SYNTAX_ERRORS)
+def test_syntax_error_message_position_and_expectation(text, message, position, expected):
+    with pytest.raises(CredentialSyntaxError) as info:
+        parse_credential(text)
+    exc = info.value
+    suffix = f" at offset {position}" + (f" (expected {expected})" if expected else "")
+    assert (str(exc), exc.position, exc.expected) == (message + suffix, position, expected)
+
+
+# The tokenizer as it first stood: one match per position, whitespace as
+# its own match, a string literal one character at a time. Kept as the
+# oracle the faster tokenizer must agree with.
+_OPS = ("&&", "||", "==", "!=", "<=", ">=", "->", "<", ">", "=", "!", "(", ")", ";", "&")
+_ORACLE_RE = re.compile(
+    r"\s+"
+    r'|"(?P<STRING>(?:[^"\\]|\\.)*)"'
+    r"|(?P<NUMBER>\d+(?:\.\d+)?)"
+    r"|(?P<NAME>[A-Za-z_]\w*)"
+    r"|(?P<OP>" + "|".join(re.escape(op) for op in _OPS) + ")"
+    r"|(?P<BAD>.)",
+    re.DOTALL,
+)
+
+
+def _oracle_tokenize(body: str, base_pos: int) -> list[tuple[str, str, int]]:
+    tokens = []
+    for m in _ORACLE_RE.finditer(body):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        text = m.group(kind)
+        pos = base_pos + m.start()
+        if kind == "STRING":
+            text = re.sub(r"\\(.)", r"\1", text, flags=re.DOTALL)
+        elif kind == "BAD":
+            if text == '"':
+                raise CredentialSyntaxError("unterminated string literal", pos, 'closing "')
+            raise CredentialSyntaxError(f"unexpected character {text!r}", pos)
+        tokens.append((kind, text, pos))
+    tokens.append(("END", "", base_pos + len(body)))
+    return tokens
+
+
+def _outcome(tokenize, body: str, base_pos: int):
+    try:
+        return [tuple(tok) for tok in tokenize(body, base_pos)]
+    except CredentialSyntaxError as exc:
+        return (str(exc), exc.position, exc.expected)
+
+
+_TOKEN_ALPHABET = st.sampled_from(
+    list('"\\ \t\n\u00a0&|=!<>-();.' + "0123456789" + "aZ_x" + "@#^é")
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_TOKEN_ALPHABET, max_size=40).map("".join), st.integers(0, 200))
+def test_tokenizer_agrees_with_the_per_position_oracle(body, base_pos):
+    got = _outcome(_tokenize, body, base_pos)
+    assert got == _outcome(_oracle_tokenize, body, base_pos)
+    if isinstance(got, list):
+        for tok in _tokenize(body, base_pos):
+            assert type(tok) is _Token and (tok.kind, tok.text, tok.pos) == tuple(tok)
+            if tok.kind in ("NAME", "STRING"):
+                assert sys.intern(tok.text) is tok.text
 
 
 def test_fields_out_of_order_rejected():
