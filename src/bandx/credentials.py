@@ -195,6 +195,10 @@ class Credential:
     # None to render them. Set only by a parse of canonical text and by
     # sign_credential; not an init field, so `replace` never copies it.
     _canonical_len: int | None = field(default=None, init=False, compare=False, repr=False)
+    # The offer fields offers.derive_offer_fields found here, all but the
+    # credential itself, or None until a derive succeeds. Values only, so
+    # nothing kept here refers back to the credential.
+    _offer_fields: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def authorizer_key(self) -> PublicKeyId:
@@ -249,15 +253,17 @@ class ActionAttributeSet:
 
 _OPS = ("&&", "||", "==", "!=", "<=", ">=", "->", "<", ">", "=", "!", "(", ")", ";", "&")
 _OP_TEXT = {op: op for op in _OPS}  # one shared string per operator
-# One alternative per token kind, tried in this order at each position;
-# an unnamed match is whitespace, BAD is a character no token starts with.
+# One match per token: leading whitespace, then one alternative per token
+# kind, tried in this order; BAD is a character no token starts with. The
+# string literal is unrolled so the engine takes a run of plain
+# characters in one step.
 _TOKEN_RE = re.compile(
-    r"\s+"
-    r'|"(?P<STRING>(?:[^"\\]|\\.)*)"'
+    r"\s*(?:"
+    r'"(?P<STRING>[^"\\]*(?:\\.[^"\\]*)*)"'
     r"|(?P<NUMBER>\d+(?:\.\d+)?)"
     r"|(?P<NAME>[A-Za-z_]\w*)"
     r"|(?P<OP>" + "|".join(re.escape(op) for op in _OPS) + ")"
-    r"|(?P<BAD>.)",
+    r"|(?P<BAD>\S))",
     re.DOTALL,
 )
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
@@ -271,27 +277,28 @@ class _Token(NamedTuple):
 
 def _tokenize(body: str, base_pos: int = 0) -> list[_Token]:
     tokens: list[_Token] = []
+    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
+    intern = sys.intern
     for m in _TOKEN_RE.finditer(body):
         kind = m.lastgroup
-        if kind is None:
-            continue
-        text = m.group(kind)
-        pos = base_pos + m.start()
+        text = m[kind]
+        pos = base_pos + m.start(kind)
         # Names and literals recur across credentials (attribute names,
         # app_domain, currency, keys); interned, every parse shares one copy.
         if kind == "NAME":
-            text = sys.intern(text)
+            text = intern(text)
         elif kind == "STRING":
+            pos -= 1  # the token starts at its opening quote
             if "\\" in text:
                 text = _ESCAPE_RE.sub(r"\1", text)
-            text = sys.intern(text)
+            text = intern(text)
         elif kind == "OP":
             text = _OP_TEXT[text]
         elif kind == "BAD":
             if text == '"':
                 raise CredentialSyntaxError("unterminated string literal", pos, 'closing "')
             raise CredentialSyntaxError(f"unexpected character {text!r}", pos)
-        tokens.append(_Token(kind, text, pos))
+        tokens.append(new(_Token, (kind, text, pos)))
     tokens.append(_Token("END", "", base_pos + len(body)))
     return tokens
 

@@ -150,7 +150,18 @@ def _int_mbps(text: str) -> int:
 
 def derive_offer_fields(cred: Credential) -> Offer:
     """Derive the structured offer from its credential, rejecting any
-    mismatch between pinned and computed fields."""
+    mismatch between pinned and computed fields. The fields are derived
+    once per credential object (see "Derived offer fields" in
+    docs/formats.md); a MalformedOffer is raised again on every call."""
+    fields = cred._offer_fields
+    if fields is None:
+        fields = _offer_fields(cred)
+        object.__setattr__(cred, "_offer_fields", fields)
+    return Offer(*fields, cred)
+
+
+def _offer_fields(cred: Credential) -> tuple:
+    """Offer's fields in order, without the trailing credential."""
     comps = conjuncts(cred)
 
     link = _single(comps, "link_name", "==")
@@ -206,20 +217,19 @@ def derive_offer_fields(cred: Credential) -> Offer:
     hint = _single(comps, "path_hint", "==")
     path_hint = tuple(p for p in hint.literal.text.split(",") if p) if hint else ()
 
-    return Offer(
-        offer_id=credential_id(cred),
-        isp_key=cred.authorizer,
-        link_from=head,
-        link_to=tail,
-        link_name=link_name,
-        bandwidth_mbps=bandwidth,
-        min_price=min_price,
-        amount_floor=Money(floor_cents, currency),
-        valid_until=expiry.literal.text,
-        unbundling_allowed=unbundling_allowed,
-        qos_class=qos_class,
-        path_hint=path_hint,
-        credential=cred,
+    return (
+        credential_id(cred),  # offer_id
+        cred.authorizer,  # isp_key
+        head,  # link_from
+        tail,  # link_to
+        link_name,
+        bandwidth,  # bandwidth_mbps
+        min_price,
+        Money(floor_cents, currency),  # amount_floor
+        expiry.literal.text,  # valid_until
+        unbundling_allowed,
+        qos_class,
+        path_hint,
     )
 
 

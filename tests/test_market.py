@@ -3,14 +3,15 @@ price path composition against the exhaustive oracle."""
 
 from __future__ import annotations
 
+import gc
 import random
+from dataclasses import replace
 
 import pytest
 
 from bandx.credentials import (
     BadSignature,
     parse_credential,
-    parse_credential_blocks,
     render_credential,
 )
 from bandx.keys import generate_keypair
@@ -18,6 +19,7 @@ from bandx.market import ClearingHouse, Expired, NoPath, OfferQuery
 from bandx.money import Money, instant_from_text
 from bandx.offers import (
     MalformedOffer,
+    derive_offer_fields,
     make_offer_credential,
     open_offer,
     validate_unbundling,
@@ -75,15 +77,9 @@ def test_post_offer_idempotent():
 
 
 def test_post_offer_rejects_missing_bandwidth(chain):
-    text = render_credential(chain.offer).replace('&bandwidth <= "50Mbps" && ', "")
-    resigned = parse_credential(text)
-    # Re-sign so only the schema violation is under test.
-    from bandx.credentials import sign_credential
-    from dataclasses import replace
-
-    resigned = sign_credential(replace(resigned, signature=None), chain.merchant)
+    # Re-signed so only the schema violation is under test.
     with pytest.raises(MalformedOffer):
-        ClearingHouse().post_offer(resigned, NOW)
+        ClearingHouse().post_offer(_missing_bandwidth_offer(chain), NOW)
 
 
 def test_post_offer_rejects_bad_signature(chain):
@@ -108,6 +104,62 @@ def test_inconsistent_min_price_pin_rejected():
     resigned = sign_credential(replace(parse_credential(text), signature=None), ISP_A)
     with pytest.raises(MalformedOffer):
         ClearingHouse().post_offer(resigned, NOW)
+
+
+def _missing_bandwidth_offer(chain):
+    from bandx.credentials import sign_credential
+
+    text = render_credential(chain.offer).replace('&bandwidth <= "50Mbps" && ', "")
+    return sign_credential(replace(parse_credential(text), signature=None), chain.merchant)
+
+
+def test_offer_fields_are_derived_once_per_credential(monkeypatch):
+    from bandx import offers
+
+    derived = []
+    original = offers._offer_fields
+    monkeypatch.setattr(offers, "_offer_fields", lambda c: derived.append(c) or original(c))
+    text = render_credential(_offer(path_hint=("A1",)))
+    parse_credential.cache_clear()  # no earlier test's object, already derived
+    cred = parse_credential(text)
+    first = derive_offer_fields(cred)
+    again = derive_offer_fields(parse_credential(text))  # the parse memo's object
+    assert again == first and again.credential is cred
+    assert derived == [cred]
+    assert derive_offer_fields(replace(cred)) == first  # a new object derives anew
+    assert len(derived) == 2
+
+
+def test_malformed_offer_is_raised_on_every_derive(chain):
+    bad = _missing_bandwidth_offer(chain)
+    for _ in range(2):
+        with pytest.raises(MalformedOffer):
+            derive_offer_fields(bad)
+    assert bad._offer_fields is None
+
+
+def test_derived_fields_stay_out_of_copies_equality_hash_and_repr():
+    cred = _offer()
+    fresh = replace(cred)
+    derive_offer_fields(cred)
+    assert cred._offer_fields is not None
+    assert replace(cred)._offer_fields is None
+    assert cred == fresh and hash(cred) == hash(fresh) and repr(cred) == repr(fresh)
+
+
+def test_derived_fields_hold_no_reference_to_their_credential():
+    # A cycle through the credential would leave an expired offer for the
+    # full garbage collection to free.
+    cred = _offer(path_hint=("A1", "A2"))
+    derive_offer_fields(cred)
+    seen, todo = set(), [cred._offer_fields]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert obj is not cred
+        todo.extend(gc.get_referents(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +211,6 @@ def test_expired_offers_never_served_after_sweep():
         live = {o.offer_id for o in offers if o.valid_until > sweep}
         assert len(house) == len(live)
         assert all((house.get(o.offer_id) is not None) == (o.offer_id in live) for o in offers)
-        exported = parse_credential_blocks(house.export_offers())
-        assert sorted(open_offer(c).offer_id for c in exported) == sorted(live)
         q = OfferQuery(locations[0], locations[-1], 10, needed_on="20040101")
         assert house.query_offers(q) == []  # all offers expire 20031231
 
@@ -293,30 +343,3 @@ def test_every_served_offer_verifies_at_query_time():
                 continue
             for offer in house.query_offers(OfferQuery(a, b, 10, NOW)):
                 assert verify_signature(offer.credential) is True
-
-
-def test_replicated_stores_serve_identical_results():
-    rng = random.Random(9)
-    house, offers, locations, _ = random_market(rng)
-    clone = ClearingHouse()
-    clone.import_offers(house.export_offers(), NOW)
-    q = OfferQuery(locations[0], locations[-1], 10, NOW)
-    assert [o.offer_id for o in clone.query_offers(q)] == [
-        o.offer_id for o in house.query_offers(q)
-    ]
-    assert len(clone) == len(house)
-
-
-def test_replica_equals_source_on_an_offer_last_day():
-    house = ClearingHouse()
-    house.post_offer(_offer(expiry="20031120", cents=300), NOW)
-    house.post_offer(_offer(expiry="20040101", cents=400), NOW)
-    last_day = "20031120"  # the first day the first offer is not live
-    stale = ClearingHouse()
-    assert stale.import_offers(house.export_offers(), last_day) == 1  # skipped, not aborted
-    assert house.expire_offers(last_day) == 1
-    clone = ClearingHouse()
-    assert clone.import_offers(house.export_offers(), last_day) == 1
-    for replica in (stale, clone):
-        assert replica.export_offers() == house.export_offers()
-        assert len(replica) == len(house) == 1
