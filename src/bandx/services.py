@@ -433,11 +433,29 @@ def config_errors(role: str) -> Iterator[None]:
         raise ConfigError(f"bad {role} config: {detail}") from exc
 
 
+# The keys each role's config may carry (README's config table); any
+# other key is refused, so a misspelt or retired one is not ignored.
+_COMMON_KEYS = frozenset({"role", "listen", "clock_start"})
+CONFIG_KEYS = {
+    "ch": _COMMON_KEYS,
+    "guarantor": _COMMON_KEYS | {"secret"},
+    "csc": _COMMON_KEYS | {"trusted_guarantors", "journal"},
+    "isp": _COMMON_KEYS | {"isps", "seed", "trusted_guarantors", "keepalive", "topology_text"},
+}
+
+
 def build_role(role: str, config: dict) -> ServiceCore:
     """The service for one role, from the JSON-ready per-role config
     that `scenario.role_configs` derives and `bandx serve` reads: in
     process and over sockets, every role is built here."""
+    if role not in CONFIG_KEYS:
+        raise ConfigError(f"unknown role {role!r}")
     with config_errors(role):
+        unknown = sorted(set(config) - CONFIG_KEYS[role])
+        if unknown:
+            raise ConfigError(
+                f"bad {role} config: unknown key {', '.join(map(repr, unknown))}"
+            )
         clock_start = int(config.get("clock_start", 0))
         if role == "ch":
             return ClearingHouseService(ClearingHouse(), clock_start)
@@ -448,24 +466,22 @@ def build_role(role: str, config: dict) -> ServiceCore:
                 SettlementCenter(config["trusted_guarantors"], journal_path=config.get("journal")),
                 clock_start,
             )
-        if role == "isp":
-            isp_keys = {
-                name: import_private(entry["secret"])
-                for name, entry in config["isps"].items()
-            }
-            keepalive = {
-                name: (int(period), parse_amount(price, currency))
-                for name, (period, price, currency) in config.get("keepalive", {}).items()
-            }
-            fabric = Fabric.build(
-                parse_topology(config["topology_text"]),
-                isp_keys,
-                Pdp(config["trusted_guarantors"]),
-                rng_seed=config.get("seed"),
-                keepalive=keepalive,
-            )
-            return IspService(fabric, clock_start)
-    raise ConfigError(f"unknown role {role!r}")
+        isp_keys = {
+            name: import_private(entry["secret"])
+            for name, entry in config["isps"].items()
+        }
+        keepalive = {
+            name: (int(period), parse_amount(price, currency))
+            for name, (period, price, currency) in config.get("keepalive", {}).items()
+        }
+        fabric = Fabric.build(
+            parse_topology(config["topology_text"]),
+            isp_keys,
+            Pdp(config["trusted_guarantors"]),
+            rng_seed=config.get("seed"),
+            keepalive=keepalive,
+        )
+        return IspService(fabric, clock_start)
 
 
 # ---------------------------------------------------------------------------

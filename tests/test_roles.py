@@ -12,9 +12,10 @@ import pytest
 
 from bandx import cli
 from bandx.scenario import materialize_configs, parse_scenario, role_configs, run_parsed
-from bandx.services import Bus, ConfigError, build_role
+from bandx.services import CONFIG_KEYS, Bus, ConfigError, build_role
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 BUNDLED = sorted(SCENARIOS.glob("*.scn"))
 
 
@@ -34,6 +35,35 @@ def test_served_configs_build_the_in_process_services(scenario_path, tmp_path):
     in_process = run_parsed(scn)
     assert served.transcript == in_process.transcript
     assert served.report == in_process.report
+
+
+@pytest.mark.parametrize("scenario_path", BUNDLED, ids=lambda p: p.stem)
+def test_derived_configs_carry_only_accepted_keys(scenario_path, tmp_path):
+    scn = parse_scenario(scenario_path.read_text(), SCENARIOS)
+    for role, config in role_configs(scn).items():
+        assert set(config) <= CONFIG_KEYS[role]
+    ports = {"ch": 7001, "isp": 7002, "csc": 7003, "guarantor": 7004}
+    for role, path in materialize_configs(scn, tmp_path, ports).items():
+        assert set(json.loads(path.read_text())) <= CONFIG_KEYS[role]
+
+
+def test_readme_config_table_lists_the_accepted_keys():
+    listed: dict[str, set] = {role: set() for role in CONFIG_KEYS}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            roles = CONFIG_KEYS if cells[1] == "all" else cells[1].split(", ")
+            for role in roles:
+                listed[role].add(cells[0].strip("`"))
+    assert listed == {role: set(keys) for role, keys in CONFIG_KEYS.items()}
+
+
+def test_unknown_config_key_is_refused():
+    trusted = _isp_config()["trusted_guarantors"]
+    config = {"trusted_guarantors": trusted, "jornal": "/x", "commission_bp": 50}
+    with pytest.raises(ConfigError,
+                       match="^bad csc config: unknown key 'commission_bp', 'jornal'$"):
+        build_role("csc", config)
 
 
 def _isp_config() -> dict:
@@ -56,7 +86,7 @@ def test_topology_path_key_is_refused_not_read(tmp_path):
     topology = tmp_path / "topology.txt"
     topology.write_text(config.pop("topology_text"))
     config["topology"] = str(topology)
-    with pytest.raises(ConfigError, match="missing key 'topology_text'"):
+    with pytest.raises(ConfigError, match="unknown key 'topology'"):
         build_role("isp", config)
 
 
@@ -76,7 +106,8 @@ def _write_config(tmp_path: Path, config: object) -> str:
 @pytest.mark.parametrize("config, detail", [
     ({"clock_start": 0}, "missing key 'listen'"),
     ([], "'list' object has no attribute 'get'"),
-], ids=["no-listen", "not-an-object"])
+    ({"clock_start": 0, "listen": "127.0.0.1:0", "lisen": "x"}, "unknown key 'lisen'"),
+], ids=["no-listen", "not-an-object", "unknown-key"])
 def test_serve_exits_with_the_config_error(tmp_path, capsys, config, detail):
     argv = ["serve", "ch", "--config", _write_config(tmp_path, config)]
     assert cli.main(argv) == cli.EXIT_PROTOCOL
