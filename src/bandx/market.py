@@ -37,7 +37,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .credentials import Credential, parse_credential_blocks
+from .credentials import Credential
 from .money import Money, is_date
 from .offers import Offer, open_offer, validate_unbundling
 
@@ -248,21 +248,3 @@ class ClearingHouse:
                         heap, (price + edge_price, ids + (offer_id,), nxt, segs + (offer,))
                     )
         raise NoPath(f"no offer path from {q.link_from} to {q.link_to}")
-
-    def export_offers(self) -> str:
-        """Newline-separated credential blocks for replication."""
-        ordered = sorted(self._ids.copy().values(), key=lambda o: o.offer_id)
-        return "\n".join(o.credential.text() for o in ordered)
-
-    def import_offers(self, text: str, now: str) -> int:
-        """Post every live offer of an export; returns how many were
-        live. An offer no longer live at `now` is skipped, as the
-        source's next tick would drop it."""
-        count = 0
-        for cred in parse_credential_blocks(text):
-            try:
-                self.post_offer(cred, now)
-            except Expired:
-                continue
-            count += 1
-        return count

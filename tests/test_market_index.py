@@ -195,7 +195,7 @@ def test_readers_never_see_a_half_written_store():
                 except NoPath:
                     pass
                 assert {o.offer_id for o in house.query_offers(q)} <= known
-                assert house.export_offers().count("Authorizer:") <= len(known)
+                assert sum(house.get(o.offer_id) is not None for o in offers) <= len(known)
                 got = house.get(rng.choice(offers).offer_id)
                 assert got is None or got.offer_id in known
                 assert 0 <= len(house) <= len(known)
