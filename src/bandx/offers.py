@@ -155,12 +155,12 @@ def derive_offer_fields(cred: Credential) -> Offer:
     docs/formats.md); a MalformedOffer is raised again on every call."""
     fields = cred._offer_fields
     if fields is None:
-        fields = _offer_fields(cred)
+        fields = _derive_fields(cred)
         object.__setattr__(cred, "_offer_fields", fields)
     return Offer(*fields, cred)
 
 
-def _offer_fields(cred: Credential) -> tuple:
+def _derive_fields(cred: Credential) -> tuple:
     """Offer's fields in order, without the trailing credential."""
     comps = conjuncts(cred)
 

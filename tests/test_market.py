@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -117,8 +119,8 @@ def test_offer_fields_are_derived_once_per_credential(monkeypatch):
     from bandx import offers
 
     derived = []
-    original = offers._offer_fields
-    monkeypatch.setattr(offers, "_offer_fields", lambda c: derived.append(c) or original(c))
+    original = offers._derive_fields
+    monkeypatch.setattr(offers, "_derive_fields", lambda c: derived.append(c) or original(c))
     text = render_credential(_offer(path_hint=("A1",)))
     parse_credential.cache_clear()  # no earlier test's object, already derived
     cred = parse_credential(text)
@@ -160,6 +162,31 @@ def test_derived_fields_hold_no_reference_to_their_credential():
         seen.add(id(obj))
         assert obj is not cred
         todo.extend(gc.get_referents(obj))
+
+
+def test_concurrent_first_derives_agree():
+    # Roles in one process derive the memo's shared objects from their own
+    # threads; a race to fill the slot must still give every caller the
+    # same fields.
+    creds = [_offer(cents=300 + k) for k in range(40)]  # new objects, none derived
+    expected = [derive_offer_fields(replace(c)) for c in creds]
+    got: list = [[] for _ in range(6)]
+
+    def derive_all(out: list) -> None:
+        out.extend(derive_offer_fields(c) for c in creds)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=derive_all, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [expected] * len(got)
 
 
 # ---------------------------------------------------------------------------
