@@ -256,7 +256,9 @@ _OP_TEXT = {op: op for op in _OPS}  # one shared string per operator
 # One match per token: leading whitespace, then one alternative per token
 # kind, tried in this order; BAD is a character no token starts with. The
 # string literal is unrolled so the engine takes a run of plain
-# characters in one step.
+# characters in one step. Trailing whitespace, which no token follows,
+# must be stripped before the scan: the search would otherwise fail and
+# restart at each character of the run, quadratic in its length.
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r'"(?P<STRING>[^"\\]*(?:\\.[^"\\]*)*)"'
@@ -279,7 +281,7 @@ def _tokenize(body: str, base_pos: int = 0) -> list[_Token]:
     tokens: list[_Token] = []
     new = tuple.__new__  # skips the NamedTuple's Python-level __new__
     intern = sys.intern
-    for m in _TOKEN_RE.finditer(body):
+    for m in _TOKEN_RE.finditer(body.rstrip()):  # rstrip strips what \s matches
         kind = m.lastgroup
         text = m[kind]
         pos = base_pos + m.start(kind)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +247,20 @@ def test_tokenizer_agrees_with_the_per_position_oracle(body, base_pos):
             assert type(tok) is _Token and (tok.kind, tok.text, tok.pos) == tuple(tok)
             if tok.kind in ("NAME", "STRING"):
                 assert sys.intern(tok.text) is tok.text
+
+
+def test_trailing_whitespace_is_scanned_in_linear_time():
+    # A run of whitespace that no token follows must be scanned once; a
+    # search that fails and restarts at each of its characters is
+    # quadratic and takes tens of seconds on this run.
+    run = " \t" * 8_000
+    start = time.perf_counter()
+    tokens = _tokenize("a" + run, 5)
+    cred = parse_credential(_POLICY_HEAD + 'Conditions: a == "x"' + run + "\n")
+    elapsed = time.perf_counter() - start
+    assert [tuple(tok) for tok in tokens] == [("NAME", "a", 5), ("END", "", 6 + len(run))]
+    assert cred.clauses
+    assert elapsed < 1.0
 
 
 def test_fields_out_of_order_rejected():
