@@ -65,7 +65,8 @@ class Envelope:
         return value
 
     def numbered_blocks(self, prefix: str) -> list[bytes]:
-        keys = sorted(k for k in self.blocks if k.startswith(prefix))
+        """Blocks named `prefix` plus a zero-padded number, in number order."""
+        keys = sorted((k for k in self.blocks if k.startswith(prefix)), key=lambda k: (len(k), k))
         return [self.blocks[k] for k in keys]
 
 

@@ -10,6 +10,11 @@ operating system had not yet written out. A record is self-contained
 (offer, check, guarantor, action), which is what makes replaying a
 disputed transaction possible from the stored bytes alone.
 
+The journal is the one full store of settled records. In memory a
+center keeps only the balances, the settled (payer, nonce) pairs and
+each record id's verdict, which DISPUTE reports as `recorded`; a
+restart rebuilds all three by replaying the journal.
+
 Whether a record pays is `payments.payment_verdict`, the decision the
 network element ran before delivering, run again on the stored action;
 this module adds only the double-deposit guard and the commission.
@@ -22,7 +27,7 @@ import hashlib
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable
 
 from .credentials import ActionAttributeSet, Credential, parse_credential
 from .keys import PublicKeyId
@@ -71,6 +76,8 @@ class SettlementReport:
 
 @dataclass(frozen=True)
 class JournalEntry:
+    """One processed record and its outcome: the journal's encoded form."""
+
     record_id: str
     record: TransactionRecord
     verdict: bool
@@ -108,11 +115,11 @@ class SettlementCenter:
         self._lock = threading.Lock()
         self._balances: dict[tuple[str, str], int] = {}
         self._settled: set[tuple[str, str]] = set()
-        self._entries: list[JournalEntry] = []
-        self._by_id: dict[str, JournalEntry] = {}
+        self._verdicts: dict[str, bool] = {}  # record id -> verdict
         self._journal_path = Path(journal_path) if journal_path is not None else None
         if self._journal_path is not None and self._journal_path.exists():
-            self._replay_journal()
+            for entry in decode_journal(self._journal_path.read_bytes()):
+                self._apply(entry)
 
     # -- public surface -----------------------------------------------------
 
@@ -153,11 +160,7 @@ class SettlementCenter:
         return self._verdict(record, _open_check(record), fresh=True) is None
 
     def recorded_verdict(self, record_id: str) -> bool | None:
-        entry = self._by_id.get(record_id)
-        return entry.verdict if entry else None
-
-    def entries(self) -> Iterator[JournalEntry]:
-        return iter(list(self._entries))
+        return self._verdicts.get(record_id)
 
     # -- verdict ------------------------------------------------------------
 
@@ -216,8 +219,7 @@ class SettlementCenter:
         return entry
 
     def _apply(self, entry: JournalEntry) -> None:
-        self._entries.append(entry)
-        self._by_id[entry.record_id] = entry
+        self._verdicts[entry.record_id] = entry.verdict
         if not entry.accepted:
             return
         self._settled.add((entry.payer, entry.nonce))
@@ -241,10 +243,6 @@ class SettlementCenter:
         if self._journal_path is None or not records:
             return contextlib.nullcontext()
         return self._journal_path.open("ab")
-
-    def _replay_journal(self) -> None:
-        for entry in decode_journal(self._journal_path.read_bytes()):
-            self._apply(entry)
 
 
 def _open_check(record: TransactionRecord) -> MicrocheckView | None:

@@ -40,12 +40,13 @@ from bandx.keys import generate_keypair
 from bandx.market import NoPath, OfferQuery
 from bandx.money import Money
 from bandx.offers import make_offer_credential
-from bandx.payments import issue_guarantor_credential
+from bandx.payments import issue_guarantor_credential, open_microcheck
 from bandx.settlement import (
     REASON_DOUBLE_DEPOSIT,
     REASON_UNKNOWN_GUARANTOR,
     SettlementCenter,
     TransactionRecord,
+    decode_journal,
 )
 
 from conftest import make_chain
@@ -76,7 +77,8 @@ def _pass(criterion: int, detail: str, started: float) -> None:
 class _Run:
     elapsed: float
     csc: SettlementCenter
-    detail: object  # duplicates injected (criterion 2) or the scenario result (5)
+    records: list[TransactionRecord]  # every record deposited, in order
+    detail: object  # duplicates injected and reports (criterion 2) or the scenario result (5)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +89,8 @@ def deposit_run() -> _Run:
     world = settlement_world(rng, n_payers=4, n_merchants=2)
     csc = SettlementCenter([world.guarantor.public_id])
     pool: list[TransactionRecord] = []
+    records: list[TransactionRecord] = []
+    reports = []
     duplicates_injected = 0
     for _ in range(1000):
         batch = []
@@ -96,25 +100,28 @@ def deposit_run() -> _Run:
                 duplicates_injected += 1
             batch.append(record)
         pool.extend(r for r in batch if r not in pool)
-        csc.deposit_batch(batch)
+        records += batch
+        reports.append(csc.deposit_batch(batch))
         totals: dict[str, int] = {}
         for (_key, cur), cents in csc.balances().items():
             totals[cur] = totals.get(cur, 0) + cents
         assert all(v == 0 for v in totals.values()), "conservation violated"
-    return _Run(time.monotonic() - started, csc, duplicates_injected)
+    return _Run(time.monotonic() - started, csc, records, (duplicates_injected, reports))
 
 
 @pytest.fixture(scope="module")
-def rome_dublin_run() -> _Run:
+def rome_dublin_run(tmp_path_factory) -> _Run:
     """Criterion 5's rome-dublin scenario on the in-process bus."""
     from bandx.scenario import build_services, parse_scenario, run_parsed
     from bandx.services import Bus
 
     started = time.monotonic()
+    journal = tmp_path_factory.mktemp("criterion-5") / "csc.journal"
     scn = parse_scenario((SCENARIOS / "rome-dublin.scn").read_text(), SCENARIOS)
-    bus = Bus(build_services(scn))
+    bus = Bus(build_services(scn, journal_path=str(journal)))
     result = run_parsed(scn, bus)
-    return _Run(time.monotonic() - started, bus.services["csc"].csc, result)
+    records = [e.record for e in decode_journal(journal.read_bytes())]
+    return _Run(time.monotonic() - started, bus.services["csc"].csc, records, result)
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +183,18 @@ def test_criterion_1_conformance_chain_and_mutations(chain):
 
 def test_criterion_2_double_deposit_and_conservation(deposit_run):
     started = time.monotonic() - deposit_run.elapsed
-    csc, duplicates_injected = deposit_run.csc, deposit_run.detail
+    duplicates_injected, reports = deposit_run.detail
+    payer_nonce = {}
+    for record in deposit_run.records:
+        check = open_microcheck(record.microcheck)
+        payer_nonce[record.record_id()] = (check.payer_key, check.nonce)
     accepted_pairs = [
-        (e.payer, e.nonce) for e in csc.entries() if e.accepted
+        payer_nonce[rid] for report in reports for rid, _ in report.accepted
     ]
     assert len(accepted_pairs) == len(set(accepted_pairs)), "a nonce settled twice"
     assert duplicates_injected > 100  # the 20% injection actually happened
-    assert any(e.reason == REASON_DOUBLE_DEPOSIT for e in csc.entries())
+    assert any(reason == REASON_DOUBLE_DEPOSIT
+               for report in reports for _, reason in report.rejected)
 
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"criterion 2 took {elapsed:.2f}s, budget 30s"
@@ -271,8 +283,8 @@ def test_criterion_6_dispute_replay_agreement(deposit_run, rome_dublin_run):
     started = time.monotonic()
     checked = 0
     for run in (deposit_run, rome_dublin_run):
-        for entry in run.csc.entries():
-            assert run.csc.dispute_replay(entry.record) == entry.verdict
+        for record in run.records:
+            assert run.csc.dispute_replay(record) == run.csc.recorded_verdict(record.record_id())
             checked += 1
     assert checked > 1000
     elapsed = time.monotonic() - started

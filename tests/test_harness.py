@@ -7,6 +7,8 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandx.cli import main as cli_main
 from bandx.envelope import Envelope, decode
@@ -324,8 +326,9 @@ def test_partial_future_booking_releases_committed_calendar(tmp_path):
 
 
 def test_dispute_endpoint_replays_recorded_verdict(tmp_path):
-    from bandx.settlement import encode_record
+    from bandx.settlement import decode_journal, encode_record
 
+    journal = tmp_path / "csc.journal"
     path = _scn(
         tmp_path,
         "customer alice bank 50.00 USD 20041231\n"
@@ -334,13 +337,13 @@ def test_dispute_endpoint_replays_recorded_verdict(tmp_path):
         "deposit all\n",
     )
     scn = parse_scenario(path.read_text(), tmp_path)
-    bus = Bus(build_services(scn))
+    bus = Bus(build_services(scn, journal_path=str(journal)))
     from bandx.scenario import _Runner
 
     runner = _Runner(scn, bus)
     runner.setup()
     runner.run_events()
-    entry = next(iter(bus.services["csc"].csc.entries()))
+    entry = decode_journal(journal.read_bytes())[0]
     reply = bus.send("csc", "DISPUTE", {}, {"record": encode_record(entry.record)})
     assert reply.msg_type == "DISPUTE-RESP"
     assert reply.get("verdict") == "true"
@@ -419,6 +422,88 @@ def test_out_of_range_clock_set_is_refused_and_changes_nothing(tmp_path):
     assert bus.services["ch"].clock == before
     reply = bus.send("ch", "QUERY", {"from": "Rome", "to": "Paris", "bandwidth": "10"})
     assert (reply.msg_type, reply.get("count")) == ("OFFERS", "1")
+
+
+_CLOCK_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), st.integers(-2 * 86_400, 8 * 86_400)),  # any instant
+        st.tuples(st.just("by"), st.integers(-120, 120)),  # across a challenge's ttl
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_CLOCK_STEPS)
+def test_clock_moves_in_any_order_revive_nothing_and_change_no_verdict(steps):
+    """CLOCK-SET, from any sender, forwards or back: an offer swept at a
+    date stays gone, a challenge pruned past its ttl stays unknown, and
+    every recorded verdict stays what deposit recorded."""
+    import random
+    from dataclasses import replace
+
+    from bandx.credentials import parse_credential, render_credential
+    from bandx.fabric import CHALLENGE_TTL
+    from bandx.market import ClearingHouse
+    from bandx.money import Money, date_of_instant
+    from bandx.offers import make_offer_credential
+    from bandx.services import ClearingHouseService, CscService, IspService
+    from bandx.settlement import SettlementCenter, encode_record
+
+    from helpers import settlement_world, two_isp_world
+
+    world = two_isp_world()
+    house = ClearingHouse()
+    today = date_of_instant(world.now)
+    offers = {  # offer id -> the date from which it is swept
+        house.post_offer(make_offer_credential(
+            world.isp_a, "Rome-Paris", 50, Money(300), until), today).offer_id: until
+        for until in ("20031120", "20031122", "20031125")
+    }
+    money = settlement_world(random.Random(19))
+    valid = money.random_record()
+    forged = replace(valid, microcheck=parse_credential(
+        render_credential(valid.microcheck).replace('nonce == "', 'nonce == "0')))
+    records = [encode_record(r) for r in (valid, forged, money.random_record())]
+    csc = SettlementCenter([money.guarantor.public_id])
+    bus = Bus({"ch": ClearingHouseService(house, world.now),
+               "isp": IspService(world.fabric, world.now),
+               "csc": CscService(csc, world.now)})
+
+    def verdicts():
+        out = []
+        for record in records:
+            reply = bus.send("csc", "DISPUTE", {}, {"record": record})
+            out.append((reply.get("verdict"), reply.get("recorded")))
+        return out
+
+    def deposit():
+        blocks = {f"rec{i:03d}": r for i, r in enumerate(records)}
+        raise_for_error(bus.send("csc", "DEPOSIT", {"count": str(len(records))}, blocks))
+
+    deposit()
+    recorded = verdicts()
+    assert recorded == [("true", "true"), ("false", "false"), ("true", "true")]
+    challenges: dict[str, list[int]] = {}  # id -> [ttl end, latest clock since issue]
+    now = latest = world.now
+    for how, value in steps:
+        now = world.now + value if how == "at" else now + value
+        for role in ("ch", "isp", "csc"):
+            reply = bus.send(role, "CLOCK-SET", {"now": str(now)}, sender="qna")
+            assert (reply.msg_type, reply.get("now")) == ("OK", str(now))
+        latest = max(latest, now)
+        for seen in challenges.values():
+            seen[1] = max(seen[1], now)
+        reply = raise_for_error(bus.send("isp", "CHALLENGE-REQ", {"to": "A-Rome"}))
+        challenges[reply.require("challenge_id")] = [now + CHALLENGE_TTL, now]
+
+        swept = date_of_instant(latest)
+        assert {i for i in offers if house.get(i)} == {i for i, d in offers.items() if d > swept}
+        held = world.fabric.ne("A-Rome").challenges
+        assert set(held) == {c for c, (end, seen) in challenges.items() if end >= seen}
+        deposit()
+        assert verdicts() == recorded
 
 
 def _flip_signature_tag(text: str) -> str:
@@ -508,20 +593,21 @@ def test_a_spot_request_from_a_key_of_another_algorithm_is_payment_refused(tmp_p
 
 
 @pytest.mark.parametrize("field", ["received", "merchant"])
-def test_deposit_record_without_a_header_field_is_invalid(field):
+def test_deposit_record_without_a_header_field_is_invalid(field, tmp_path):
     import re
 
     from bandx.scenario import _Runner
-    from bandx.settlement import encode_record
+    from bandx.settlement import decode_journal, encode_record
 
+    journal = tmp_path / "csc.journal"
     scn = parse_scenario((SCENARIOS / "rome-dublin.scn").read_text(), SCENARIOS)
-    bus = Bus(build_services(scn))
+    bus = Bus(build_services(scn, journal_path=str(journal)))
     runner = _Runner(scn, bus)
     runner.setup()
     runner.run_events()
     csc = bus.services["csc"].csc
     balances = csc.balances()
-    record = encode_record(next(iter(csc.entries())).record)
+    record = encode_record(decode_journal(journal.read_bytes())[0].record)
     header, _, body = record.partition(b"\n")
     stripped = re.sub(rb" " + field.encode() + rb"=\S*", b"", header)
     assert stripped != header
@@ -548,19 +634,18 @@ def test_csc_restart_keeps_double_deposit_and_conservation(tmp_path):
     scn = parse_scenario(path.read_text(), tmp_path)
     bus = Bus(build_services(scn, journal_path=str(journal)))
     from bandx.scenario import _Runner
+    from bandx.settlement import SettlementCenter, decode_journal
 
     runner = _Runner(scn, bus)
     runner.setup()
     runner.run_events()
     old_csc = bus.services["csc"].csc
-    records = [e.record for e in old_csc.entries()]
+    records = [e.record for e in decode_journal(journal.read_bytes())]
     balances = old_csc.balances()
     assert records and balances
 
     # A new process over the same journal: state is rebuilt, a replayed
     # batch is rejected, conservation still holds.
-    from bandx.settlement import SettlementCenter
-
     reborn = SettlementCenter(
         old_csc._guarantors, journal_path=journal
     )

@@ -33,7 +33,7 @@ from bandx.payments import (
     open_microcheck,
     verify_payment,
 )
-from bandx.services import Bus, GuarantorService
+from bandx.services import Bus, CscService, GuarantorService
 from bandx.settlement import (
     REASON_BAD_SIGNATURE,
     REASON_DOUBLE_DEPOSIT,
@@ -51,7 +51,13 @@ from bandx.settlement import (
 )
 
 from conftest import make_chain
-from helpers import TODAY, counting_scheme_verify, settlement_world, two_isp_world
+from helpers import (
+    TODAY,
+    counting_scheme_verify,
+    held_growth,
+    settlement_world,
+    two_isp_world,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +245,23 @@ def test_conservation_across_random_batches():
         assert all(v == 0 for v in totals.values())
 
 
-def test_at_most_one_acceptance_per_payer_nonce():
+def test_at_most_one_acceptance_per_payer_nonce(tmp_path):
     rng = random.Random(77)
     world = settlement_world(rng)
-    csc = SettlementCenter([world.guarantor.public_id])
+    journal = tmp_path / "csc.journal"
+    csc = SettlementCenter([world.guarantor.public_id], journal_path=journal)
     seen: list[TransactionRecord] = []
     accepted_pairs: list[tuple[str, str]] = []
     for _ in range(60):
         batch = [world.random_record(seen) for _ in range(rng.randint(1, 3))]
         seen.extend(batch)
         csc.deposit_batch(batch)
-    for entry in csc.entries():
+    entries = decode_journal(journal.read_bytes())
+    for entry in entries:
         if entry.accepted:
             accepted_pairs.append((entry.payer, entry.nonce))
     assert len(accepted_pairs) == len(set(accepted_pairs))
-    assert any(e.reason == REASON_DOUBLE_DEPOSIT for e in csc.entries())
+    assert any(e.reason == REASON_DOUBLE_DEPOSIT for e in entries)
 
 
 def test_forged_records_cannot_debit_the_victim(chain):
@@ -469,17 +477,48 @@ def test_replay_tampered_record_is_false(chain):
     assert csc.recorded_verdict(tampered.record_id()) is False
 
 
-def test_replay_matches_recorded_verdicts_at_scale():
+def test_replay_matches_recorded_verdicts_at_scale(tmp_path):
     rng = random.Random(500)
     world = settlement_world(rng)
-    csc = SettlementCenter([world.guarantor.public_id])
+    journal = tmp_path / "csc.journal"
+    csc = SettlementCenter([world.guarantor.public_id], journal_path=journal)
     seen: list[TransactionRecord] = []
-    while len(list(csc.entries())) < 500:
+    for _ in range(100):
         batch = [world.random_record(seen) for _ in range(5)]
         seen.extend(batch)
         csc.deposit_batch(batch)
-    for entry in csc.entries():
+    entries = decode_journal(journal.read_bytes())
+    assert len(entries) == 500
+    for entry in entries:
         assert csc.dispute_replay(entry.record) == entry.verdict
+
+
+def test_a_deposit_settles_records_in_block_order_past_999():
+    world = settlement_world(random.Random(1000))
+    records = [world.random_record() for _ in range(1002)]
+    # rec999 and rec1000 share a (payer, nonce): the earlier block wins.
+    records[1000] = replace(records[999], received_at="20031120")
+    bus = Bus({"csc": CscService(SettlementCenter([world.guarantor.public_id]))})
+    blocks = {f"rec{i:03d}": encode_record(r) for i, r in enumerate(records)}
+    reply = bus.send("csc", "DEPOSIT", {"count": str(len(records))}, blocks)
+    assert (reply.get("accepted"), reply.get("rejected")) == ("1001", "1")
+    lines = reply.block("report").decode("utf-8").splitlines()
+    ids = [r.record_id() for r in records]
+    assert [line.split(" ")[1] for line in lines[:-1]] == ids[:1000] + ids[1001:]
+    assert lines[-1] == f"rejected {ids[1000]} {REASON_DOUBLE_DEPOSIT}"
+
+
+def test_a_center_holds_only_a_verdict_per_settled_record():
+    world = settlement_world(random.Random(19))
+    csc = SettlementCenter([world.guarantor.public_id])
+
+    def step():
+        # Fresh checkbooks, so the test itself keeps no used nonces.
+        world.wallets = [Wallet(w.pair, w.guarantor_credential) for w in world.wallets]
+        csc.deposit_batch([world.random_record() for _ in range(10)])
+
+    per_record = held_growth(step, warmup=30, rounds=100) / 1000
+    assert per_record < 800, f"{per_record:.0f} bytes held per settled record"
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +549,8 @@ def test_journal_tolerates_torn_tail(chain, tmp_path):
 
     reborn = SettlementCenter([chain.guarantor.public_id], journal_path=journal)
     assert reborn.balances() == csc.balances()
-    assert len(list(reborn.entries())) == 1
+    assert [e.record_id for e in decode_journal(journal.read_bytes())] == [record.record_id()]
+    assert reborn.recorded_verdict(record.record_id()) is True
 
 
 def test_each_record_is_journaled_before_its_effects_count(tmp_path, monkeypatch):
@@ -538,7 +578,7 @@ def test_journal_torn_at_every_offset_replays_whole_entries_only(tmp_path):
     csc = SettlementCenter(guarantors, journal_path=journal)
     csc.deposit_batch(records)
     data = journal.read_bytes()
-    ends = list(accumulate(len(encode_journal_entry(e)) for e in csc.entries()))
+    ends = list(accumulate(len(encode_journal_entry(e)) for e in decode_journal(data)))
     assert ends[-1] == len(data)
     expected = []
     for k in range(len(records) + 1):
@@ -553,6 +593,7 @@ def test_journal_torn_at_every_offset_replays_whole_entries_only(tmp_path):
             fh.flush()
             reborn = SettlementCenter(guarantors, journal_path=journal)
             whole = sum(end <= cut for end in ends)
-            replayed = [e.record_id for e in reborn.entries()]
+            replayed = [r.record_id() for r in records
+                        if reborn.recorded_verdict(r.record_id()) is not None]
             assert replayed == [r.record_id() for r in records[:whole]], cut
             assert reborn.balances() == expected[whole], cut
